@@ -1,9 +1,13 @@
 #include "common/parallel.hh"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <utility>
+
+#include "common/logging.hh"
 
 namespace vans
 {
@@ -12,8 +16,17 @@ unsigned
 hardwareThreads()
 {
     if (const char *env = std::getenv("VANS_THREADS")) {
-        long v = std::strtol(env, nullptr, 10);
-        return v >= 1 ? static_cast<unsigned>(v) : 1u;
+        // The whole value must parse: strtol would read "abc" as 0
+        // and "4x" as 4, silently running a thread count nobody
+        // asked for.
+        const char *end = env + std::strlen(env);
+        unsigned v = 0;
+        auto [stop, ec] = std::from_chars(env, end, v);
+        if (ec != std::errc() || stop != end || v == 0) {
+            fatal("VANS_THREADS='%s' is not a positive decimal integer",
+                  env);
+        }
+        return v;
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 1u;

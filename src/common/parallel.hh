@@ -58,7 +58,8 @@ namespace vans
 
 /**
  * Worker threads to use for sweep fan-out: VANS_THREADS if set
- * (clamped to >= 1), otherwise the hardware concurrency.
+ * (a positive decimal integer; any other value is fatal), otherwise
+ * the hardware concurrency.
  */
 unsigned hardwareThreads();
 

@@ -120,14 +120,6 @@ class WorldSnapshot
     std::vector<std::uint8_t> image;
 };
 
-/**
- * Step @p eq until @p sys reports quiescent() (in-flight work done,
- * perpetual guarded timers may remain pending). Panics if the queue
- * drains or @p maxEvents fire without reaching quiescence.
- */
-void awaitQuiescence(EventQueue &eq, MemorySystem &sys,
-                     std::uint64_t maxEvents = 50000000);
-
 } // namespace vans::snapshot
 
 #endif // VANS_COMMON_SNAPSHOT_HH

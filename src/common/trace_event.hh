@@ -165,12 +165,6 @@ class TraceRecorder
     std::size_t numLabels() const { return labelNames.size(); }
 
     /**
-     * Append an already-built event (merge support: mergeRecorders
-     * re-emits remapped events from per-shard recordings).
-     */
-    void appendEvent(const TraceEvent &ev) { evs.push_back(ev); }
-
-    /**
      * Drop recorded events (interned tables survive, so ids stay
      * stable). Used to cut warm-up noise out of a measured trace.
      */
@@ -192,19 +186,6 @@ class TraceRecorder
     std::vector<TraceEvent> evs;
     std::uint64_t nextFlowId = 1;
 };
-
-/**
- * Stitch several recordings (the core + per-shard recorders of one
- * sharded world) into one timeline. Tracks and labels are re-interned
- * by name (shard recorders use globally unique track names); flow ids
- * are namespaced per part so per-recorder counters never collide;
- * async (request) ids are global request ids and pass through. Part
- * order and per-part event order are deterministic, so the merged
- * recording -- and its toChromeJson() rendering -- byte-compares
- * across kernel thread counts.
- */
-TraceRecorder
-mergeRecorders(const std::vector<const TraceRecorder *> &parts);
 
 } // namespace vans::obs
 

@@ -224,6 +224,15 @@ struct CheckerSweepParam
     std::uint32_t size;
 };
 
+// Without this, gtest prints the parameter as raw bytes, which include
+// the address of `name` and so change from build to build; CTest names
+// discovered from that listing would then be unstable.
+void
+PrintTo(const CheckerSweepParam &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
 class CheckerSweep
     : public ::testing::TestWithParam<CheckerSweepParam>
 {};

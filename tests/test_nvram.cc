@@ -13,6 +13,7 @@
 
 using namespace vans;
 using namespace vans::nvram;
+using vans::test::smallConfig;
 using vans::test::VansFixture;
 
 // ---- Media ---------------------------------------------------------
@@ -498,4 +499,51 @@ TEST(Vans, WriteLatencyWpqVsDrainRegimes)
     Tick t_big = f.drv.streamWrites(big, 16);
     f.drv.fence();
     EXPECT_GT(t_big, t_small * 2);
+}
+
+// ---- Topology guards -------------------------------------------------
+
+TEST(ShardedConfigDeathTest, RejectsZeroDimms)
+{
+    nvram::NvramConfig cfg = smallConfig();
+    cfg.numDimms = 0;
+    EXPECT_DEATH(cfg.validate(), "num_dimms");
+}
+
+TEST(ShardedConfigDeathTest, RejectsNonPowerOfTwoInterleave)
+{
+    Config raw = Config::fromString("[nvram]\n"
+                                    "num_dimms = 6\n"
+                                    "interleaved = true\n"
+                                    "interleave_bytes = 3000\n");
+    EXPECT_DEATH(nvram::NvramConfig::fromConfig(raw),
+                 "power of two");
+}
+
+TEST(ShardedConfigDeathTest, RejectsInterleaveBelowCacheLine)
+{
+    nvram::NvramConfig cfg = smallConfig();
+    cfg.numDimms = 6;
+    cfg.interleaved = true;
+    cfg.interleaveBytes = 32;
+    EXPECT_DEATH(cfg.validate(), "power of two");
+}
+
+TEST(ShardedConfigDeathTest, RejectsInterleaveBeyondCapacity)
+{
+    nvram::NvramConfig cfg = smallConfig();
+    cfg.numDimms = 6;
+    cfg.interleaved = true;
+    cfg.interleaveBytes = cfg.dimmCapacity * 2;
+    EXPECT_DEATH(cfg.validate(), "exceeds");
+}
+
+TEST(ShardedConfigDeathTest, RejectsAddressBeyondSocket)
+{
+    nvram::NvramConfig cfg = smallConfig();
+    cfg.numDimms = 2;
+    cfg.interleaved = true;
+    test::VansFixture f(cfg);
+    Addr beyond = static_cast<Addr>(cfg.numDimms) * cfg.dimmCapacity;
+    EXPECT_DEATH(f.drv.read(beyond), "beyond the .*socket capacity");
 }

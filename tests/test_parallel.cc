@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -32,9 +35,11 @@ TEST(ParallelFor, VisitsEveryIndexExactlyOnce)
 
 TEST(ParallelFor, RunsInlineWithoutPool)
 {
-    int calls = 0;
-    parallelFor(5, [&](std::size_t) { ++calls; }, nullptr);
-    EXPECT_EQ(calls, 5);
+    // nullptr selects the shared pool, whose workers may run the
+    // iterations concurrently: the counter must be atomic.
+    std::atomic<int> calls{0};
+    parallelFor(5, [&](std::size_t) { calls.fetch_add(1); }, nullptr);
+    EXPECT_EQ(calls.load(), 5);
 }
 
 TEST(ParallelFor, PropagatesExceptions)
@@ -74,6 +79,48 @@ TEST(ThreadPool, WaitDrainsAllSubmitted)
         pool.submit([&done] { done.fetch_add(1); });
     pool.wait();
     EXPECT_EQ(done.load(), 64);
+}
+
+namespace
+{
+
+/** Sets VANS_THREADS for one scope, then restores the prior value. */
+class ScopedThreadsEnv
+{
+  public:
+    explicit ScopedThreadsEnv(const char *value)
+    {
+        if (const char *old = std::getenv("VANS_THREADS"))
+            saved = old;
+        setenv("VANS_THREADS", value, 1);
+    }
+    ~ScopedThreadsEnv()
+    {
+        if (saved)
+            setenv("VANS_THREADS", saved->c_str(), 1);
+        else
+            unsetenv("VANS_THREADS");
+    }
+
+  private:
+    std::optional<std::string> saved;
+};
+
+} // namespace
+
+TEST(HardwareThreads, HonoursVansThreads)
+{
+    ScopedThreadsEnv env("3");
+    EXPECT_EQ(hardwareThreads(), 3u);
+}
+
+TEST(HardwareThreadsDeathTest, RejectsMalformedVansThreads)
+{
+    for (const char *bad : {"abc", "4x", "", "-2"}) {
+        ScopedThreadsEnv env(bad);
+        EXPECT_DEATH(hardwareThreads(), "VANS_THREADS.*positive decimal")
+            << "VANS_THREADS='" << bad << "'";
+    }
 }
 
 TEST(SweepRunner, MapPreservesIndexOrder)

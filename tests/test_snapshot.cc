@@ -248,12 +248,22 @@ namespace
 {
 
 SystemFactory
-smallFactory()
+smallFactory(const nvram::NvramConfig &cfg = vans::test::smallConfig())
 {
-    return [](EventQueue &eq) {
-        return std::make_unique<nvram::VansSystem>(
-            eq, vans::test::smallConfig());
+    return [cfg](EventQueue &eq) {
+        return std::make_unique<nvram::VansSystem>(eq, cfg);
     };
+}
+
+/** The fully populated socket: six DIMMs, 4 KB interleaved. */
+nvram::NvramConfig
+socket6Config()
+{
+    nvram::NvramConfig cfg = vans::test::smallConfig();
+    cfg.numDimms = 6;
+    cfg.interleaved = true;
+    cfg.interleaveBytes = 4096;
+    return cfg;
 }
 
 /** Deterministic mixed warm-up: reads and writes over 1MB. */
@@ -309,7 +319,7 @@ coldReference(const SystemFactory &factory, std::size_t i)
     EventQueue eq;
     auto sys = factory(eq);
     warmWorkload(*sys);
-    snapshot::awaitQuiescence(eq, *sys);
+    sys->drain();
     return pointWorkload(*sys, i);
 }
 
@@ -318,25 +328,29 @@ coldReference(const SystemFactory &factory, std::size_t i)
 TEST(ForkFidelity, ForkedPointsMatchColdReferenceTickForTick)
 {
     setQuiet(true);
-    auto factory = smallFactory();
-    SweepRunner serial(1);
-    auto ws = serial.warmOnce(factory, warmWorkload);
-    ASSERT_TRUE(ws.forked()) << "VansSystem must support snapshots";
+    for (const nvram::NvramConfig &cfg :
+         {vans::test::smallConfig(), socket6Config()}) {
+        SCOPED_TRACE(std::to_string(cfg.numDimms) + " DIMM(s)");
+        auto factory = smallFactory(cfg);
+        SweepRunner serial(1);
+        auto ws = serial.warmOnce(factory, warmWorkload);
+        ASSERT_TRUE(ws.forked()) << "VansSystem must support snapshots";
 
-    auto forked = serial.mapForked<PointTrace>(
-        ws, 4,
-        [](MemorySystem &sys, std::size_t i) {
-            return pointWorkload(sys, i);
-        });
+        auto forked = serial.mapForked<PointTrace>(
+            ws, 4,
+            [](MemorySystem &sys, std::size_t i) {
+                return pointWorkload(sys, i);
+            });
 
-    for (std::size_t i = 0; i < forked.size(); ++i) {
-        PointTrace ref = coldReference(factory, i);
-        ASSERT_EQ(forked[i].latencies.size(), ref.latencies.size());
-        for (std::size_t n = 0; n < ref.latencies.size(); ++n) {
-            ASSERT_EQ(forked[i].latencies[n], ref.latencies[n])
-                << "point " << i << " op " << n;
+        for (std::size_t i = 0; i < forked.size(); ++i) {
+            PointTrace ref = coldReference(factory, i);
+            ASSERT_EQ(forked[i].latencies.size(), ref.latencies.size());
+            for (std::size_t n = 0; n < ref.latencies.size(); ++n) {
+                ASSERT_EQ(forked[i].latencies[n], ref.latencies[n])
+                    << "point " << i << " op " << n;
+            }
+            EXPECT_EQ(forked[i].endTick, ref.endTick) << "point " << i;
         }
-        EXPECT_EQ(forked[i].endTick, ref.endTick) << "point " << i;
     }
 }
 
@@ -349,13 +363,13 @@ TEST(ForkFidelity, RestoredStatsIdenticalAfterIdenticalRun)
     EventQueue ref_eq;
     auto ref_sys = factory(ref_eq);
     warmWorkload(*ref_sys);
-    snapshot::awaitQuiescence(ref_eq, *ref_sys);
+    ref_sys->drain();
 
     // Fork: capture the same warm state from another world.
     EventQueue proto_eq;
     auto proto = factory(proto_eq);
     warmWorkload(*proto);
-    snapshot::awaitQuiescence(proto_eq, *proto);
+    proto->drain();
     auto snap = snapshot::WorldSnapshot::capture(proto_eq, *proto);
     EXPECT_GT(snap.sizeBytes(), 0u);
 
@@ -489,7 +503,7 @@ TEST(ForkFidelityDeathTest, RestoreIntoUsedWorldPanics)
     EventQueue proto_eq;
     auto proto = factory(proto_eq);
     warmWorkload(*proto);
-    snapshot::awaitQuiescence(proto_eq, *proto);
+    proto->drain();
     auto snap = snapshot::WorldSnapshot::capture(proto_eq, *proto);
 
     // Restoring into a world that has already simulated must panic:

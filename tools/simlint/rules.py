@@ -210,8 +210,6 @@ def rule_tracebyvalue(project):
 
 
 THREADING_OWNER_FILES = (
-    "src/common/sharded_kernel.hh",
-    "src/common/sharded_kernel.cc",
     "src/common/parallel.hh",
     "src/common/parallel.cc",
     "src/common/check.hh",
@@ -236,10 +234,10 @@ def rule_shardshared(project):
                 out.append(Finding(
                     "shardshared", sf.rel, lineno,
                     f"{tm.group(0)} outside the concurrency layer: "
-                    "cross-shard state must flow through the sharded "
-                    "kernel's outbox/barrier merge (or annotate with "
-                    "simlint-allow(shardshared: why this sharing is "
-                    "deterministic))"))
+                    "each world runs on one thread and parallelism "
+                    "comes only from ThreadPool/SweepRunner fan-out "
+                    "(or annotate with simlint-allow(shardshared: why "
+                    "this sharing is deterministic))"))
     return out
 
 
