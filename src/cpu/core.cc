@@ -54,14 +54,19 @@ CpuCore::issueReadAfter(const std::shared_ptr<Pending> &after,
     if (!after || after->done)
         return issueRead(addr, pre_translate);
     auto pending = std::make_shared<Pending>();
-    // Poll-free chaining: schedule the issue when the prerequisite
-    // completes by wrapping its completion flag in a watcher event.
+    // Chaining by polling: a watcher event re-checks the
+    // prerequisite's completion flag every 5 ns and issues the read
+    // once it is set. The watcher captures its own shared_ptr so it
+    // can re-arm; the running copy clears the shared closure when
+    // it issues, which breaks that cycle and frees the watcher,
+    // after and pending.
     auto watcher = std::make_shared<std::function<void()>>();
     *watcher = [this, after, addr, pre_translate, pending, watcher] {
         if (!after->done) {
             eq.scheduleAfter(nsToTicks(5), *watcher);
             return;
         }
+        *watcher = nullptr;
         RequestHandle h = mem.makeRequest(addr, MemOp::Read);
         Request &req = mem.request(h);
         req.preTranslate = pre_translate;

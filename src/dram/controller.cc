@@ -14,6 +14,7 @@ namespace vans::dram
 namespace
 {
 constexpr Tick never = std::numeric_limits<Tick>::max();
+constexpr std::size_t npos = static_cast<std::size_t>(-1);
 } // namespace
 
 DramController::DramController(EventQueue &eq, const DramTiming &timing,
@@ -25,6 +26,7 @@ DramController::DramController(EventQueue &eq, const DramTiming &timing,
       map(geometry, ms),
       policy(sched_policy),
       banks(geometry.totalBanks()),
+      scanMemo(geometry.totalBanks()),
       lastCasInGroup(geometry.ranks * geometry.bankGroups, 0),
       lastActInGroup(geometry.ranks * geometry.bankGroups, 0),
       nextRefresh(spec.tREFI ? spec.cyc(spec.tREFI) : never),
@@ -38,16 +40,23 @@ DramController::DramController(EventQueue &eq, const DramTiming &timing,
 void
 DramController::cacheStatPointers()
 {
-    // Touch every stat this controller ever records so the map nodes
-    // exist up front: a first-touch inside the event loop (e.g. the
-    // first refresh) would otherwise allocate mid-run.
-    for (const char *name :
-         {"row_hits", "row_conflicts", "row_misses", "cmd_act",
-          "cmd_pre", "cmd_rd", "cmd_wr", "cmd_ref", "read_accesses",
-          "write_accesses", "bytes_read", "bytes_written"})
-        statGroup.scalar(name);
-    sReadLatency = &statGroup.average("read_latency_ns");
-    sWriteLatency = &statGroup.average("write_latency_ns");
+    // Resolve every stat this controller ever records up front: a
+    // first touch inside the event loop (e.g. the first refresh)
+    // would otherwise allocate mid-run.
+    st.rowHits = &statGroup.scalar("row_hits");
+    st.rowConflicts = &statGroup.scalar("row_conflicts");
+    st.rowMisses = &statGroup.scalar("row_misses");
+    st.cmdAct = &statGroup.scalar("cmd_act");
+    st.cmdPre = &statGroup.scalar("cmd_pre");
+    st.cmdRd = &statGroup.scalar("cmd_rd");
+    st.cmdWr = &statGroup.scalar("cmd_wr");
+    st.cmdRef = &statGroup.scalar("cmd_ref");
+    st.readAccesses = &statGroup.scalar("read_accesses");
+    st.writeAccesses = &statGroup.scalar("write_accesses");
+    st.bytesRead = &statGroup.scalar("bytes_read");
+    st.bytesWritten = &statGroup.scalar("bytes_written");
+    st.readLatency = &statGroup.average("read_latency_ns");
+    st.writeLatency = &statGroup.average("write_latency_ns");
 }
 
 void
@@ -105,7 +114,6 @@ DramController::allocParent(unsigned remaining, DoneCallback done)
     Parent &p = parents[idx];
     p.remaining = remaining;
     p.done = std::move(done);
-    p.lastData = 0;
     return idx;
 }
 
@@ -138,8 +146,8 @@ DramController::access(Addr addr, bool write, std::uint32_t size,
         r.parentIdx = parent;
         (write ? writeQueue : readQueue).push_back(r);
     }
-    statGroup.scalar(write ? "write_accesses" : "read_accesses").inc();
-    statGroup.scalar(write ? "bytes_written" : "bytes_read").inc(size);
+    (write ? st.writeAccesses : st.readAccesses)->inc();
+    (write ? st.bytesWritten : st.bytesRead)->inc(size);
     scheduleWakeup(eventq.curTick());
 }
 
@@ -149,6 +157,13 @@ DramController::scheduleWakeup(Tick when)
     when = std::max(when, eventq.curTick());
     if (wakeupScheduled && wakeupAt <= when)
         return;
+    armWakeup(when);
+}
+
+void
+DramController::armWakeup(Tick when)
+{
+    // A superseded closure stays queued and finds the guard false.
     wakeupScheduled = true;
     wakeupAt = when;
     eventq.schedule(when, [this, when] {
@@ -214,7 +229,7 @@ DramController::issueAct(const DramCoord &c)
         actWindow.pop_front();
 
     cmdBusFree = now + spec.period();
-    statGroup.scalar("cmd_act").inc();
+    st.cmdAct->inc();
     emit({now, DramCmd::ACT, c.rank, c.bankGroup, c.bank,
                      c.row, 0});
 }
@@ -227,7 +242,7 @@ DramController::issuePre(const DramCoord &c)
     b.open = false;
     b.actReady = std::max(b.actReady, now + spec.cyc(spec.tRP));
     cmdBusFree = now + spec.period();
-    statGroup.scalar("cmd_pre").inc();
+    st.cmdPre->inc();
     emit({now, DramCmd::PRE, c.rank, c.bankGroup, c.bank,
                      b.row, 0});
 }
@@ -252,10 +267,10 @@ DramController::issueCas(const LineReq &r)
         // Write recovery gates the next PRE of this bank.
         b.preReady = std::max(b.preReady,
                               data_end + spec.cyc(spec.tWR));
-        statGroup.scalar("cmd_wr").inc();
+        st.cmdWr->inc();
     } else {
         b.preReady = std::max(b.preReady, now + spec.cyc(spec.tRTP));
-        statGroup.scalar("cmd_rd").inc();
+        st.cmdRd->inc();
     }
 
     cmdBusFree = now + spec.period();
@@ -268,9 +283,8 @@ DramController::issueCas(const LineReq &r)
     bool write = r.write;
     eventq.schedule(data_end, [this, pi, data_end, enq, write] {
         Parent &pa = parents[pi];
-        pa.lastData = std::max(pa.lastData, data_end);
         if (--pa.remaining == 0) {
-            (write ? sWriteLatency : sReadLatency)
+            (write ? st.writeLatency : st.readLatency)
                 ->sample(ticksToNs(data_end - enq));
             if (tracer) [[unlikely]] {
                 tracer->span(traceTrack, write ? lblWrite : lblRead,
@@ -302,7 +316,7 @@ DramController::doRefresh()
             c.bankGroup = (i / g.banksPerGroup) % g.bankGroups;
             c.rank = i / (g.banksPerGroup * g.bankGroups);
             c.row = b.row;
-            statGroup.scalar("cmd_pre").inc();
+            st.cmdPre->inc();
             emit({now, DramCmd::PRE, c.rank, c.bankGroup,
                              c.bank, b.row, 0});
             b.open = false;
@@ -314,10 +328,96 @@ DramController::doRefresh()
                               ref_at + spec.cyc(spec.tRFC));
     }
     cmdBusFree = std::max(cmdBusFree, ref_at + spec.period());
-    statGroup.scalar("cmd_ref").inc();
+    st.cmdRef->inc();
     emit({ref_at, DramCmd::REF, 0, 0, 0, 0, 0});
     nextRefresh += spec.cyc(spec.tREFI);
-    refreshPending = false;
+}
+
+DramController::ScanTarget
+DramController::scanTarget()
+{
+    if (policy == SchedPolicy::FCFS) {
+        // Strict arrival order across both queues: only the oldest
+        // request may issue.
+        bool read_first =
+            !readQueue.empty() &&
+            (writeQueue.empty() ||
+             readQueue.front().seq < writeQueue.front().seq);
+        return {read_first ? &readQueue : &writeQueue, 1};
+    }
+    // Strict read priority: while any read is queued, writes hold. A
+    // continuous write stream would otherwise keep pushing the
+    // write-to-read turnaround (tWTR) ahead of a waiting read
+    // forever; writes are posted and drain in the read-free gaps.
+    if (!readQueue.empty())
+        return {&readQueue, readScanWindow};
+    return {&writeQueue, writeScanWindow};
+}
+
+Tick
+DramController::classIssue(const LineReq &r)
+{
+    unsigned bi = bankIndex(r.coord);
+    const BankState &b = banks[bi];
+    unsigned hit = b.open && b.row == r.coord.row;
+    ScanMemo &m = scanMemo[bi];
+    if (m.epoch[hit] != scanEpoch) {
+        m.epoch[hit] = scanEpoch;
+        m.at[hit] = earliestIssue(r);
+    }
+    return m.at[hit];
+}
+
+std::size_t
+DramController::pick(const ScanTarget &t, Tick now)
+{
+    std::size_t best = npos;
+    std::size_t limit = std::min<std::size_t>(t.queue->size(), t.window);
+    for (std::size_t i = 0; i < limit; ++i) {
+        const LineReq &r = t.queue->at(i);
+        if (classIssue(r) > now)
+            continue;
+        const BankState &b = banks[bankIndex(r.coord)];
+        if (b.open && b.row == r.coord.row)
+            return i; // Oldest ready row hit wins.
+        if (best == npos)
+            best = i;
+    }
+    return best;
+}
+
+Tick
+DramController::wakeAt(const ScanTarget &t, Tick floor)
+{
+    Tick best = never;
+    std::size_t limit = std::min<std::size_t>(t.queue->size(), t.window);
+    for (std::size_t i = 0; i < limit && best > floor; ++i)
+        best = std::min(best, classIssue(t.queue->at(i)));
+    return std::max(best, floor);
+}
+
+void
+DramController::armAfterCommand(Tick now)
+{
+    // Nothing can issue before the command bus frees at now + tCK,
+    // and between wakeups the scheduler's inputs change only at an
+    // issue, a refresh or an arrival -- and access() wakes the
+    // controller itself. So waking at the first tick the scan window
+    // can issue gives the command stream a per-cycle poll would
+    // (DESIGN.md notes the same-tick ordering caveat). A due refresh
+    // is seen at the tick the poll would have seen it.
+    Tick next = now + spec.period();
+    if (next < nextRefresh) {
+        if (readQueue.empty() && writeQueue.empty()) {
+            if (!spec.tREFI)
+                return; // Idle and no refresh: the next access wakes.
+            next = nextRefresh;
+        } else {
+            beginScan();
+            next = wakeAt(scanTarget(), next);
+        }
+    }
+    scheduleWakeup(next);
 }
 
 void
@@ -335,10 +435,7 @@ DramController::process()
         }
         if (ready <= now) {
             doRefresh();
-            if (!readQueue.empty() || !writeQueue.empty())
-                scheduleWakeup(now + spec.period());
-            else if (spec.tREFI)
-                scheduleWakeup(nextRefresh);
+            armAfterCommand(now);
             return;
         }
         scheduleWakeup(ready);
@@ -351,76 +448,19 @@ DramController::process()
         return;
     }
 
-    // Pick a request within a queue: FR-FCFS prefers ready row hits,
-    // then any ready request, oldest first. The write scan is
-    // bounded to the scheduler window. Index-based: the queues are
-    // vectors ordered by arrival.
-    constexpr std::size_t none = static_cast<std::size_t>(-1);
-    auto pick = [&](const FifoRing<LineReq> &q, unsigned window) {
-        std::size_t best = none;
-        std::size_t limit = std::min<std::size_t>(q.size(), window);
-        for (std::size_t i = 0; i < limit; ++i) {
-            if (earliestIssue(q.at(i)) > now)
-                continue;
-            const BankState &b = banks[bankIndex(q.at(i).coord)];
-            if (b.open && b.row == q.at(i).coord.row)
-                return i; // Oldest ready row hit wins.
-            if (best == none)
-                best = i;
-        }
-        return best;
-    };
-    auto earliest = [&](const FifoRing<LineReq> &q, unsigned window) {
-        Tick best = never;
-        std::size_t limit = std::min<std::size_t>(q.size(), window);
-        for (std::size_t i = 0; i < limit; ++i)
-            best = std::min(best, earliestIssue(q.at(i)));
-        return best;
-    };
-
-    FifoRing<LineReq> *src = nullptr;
-    std::size_t chosen = none;
-    if (policy == SchedPolicy::FCFS) {
-        // Strict arrival order across both queues.
-        bool read_first =
-            !readQueue.empty() &&
-            (writeQueue.empty() ||
-             readQueue.front().seq < writeQueue.front().seq);
-        src = read_first ? &readQueue : &writeQueue;
-        if (earliestIssue(src->front()) > now) {
-            scheduleWakeup(std::max(earliestIssue(src->front()),
-                                    now + 1));
-            return;
-        }
-        chosen = 0;
-    } else {
-        // Strict read priority: while any read is queued, writes
-        // hold. A continuous write stream would otherwise keep
-        // pushing the write-to-read turnaround (tWTR) ahead of a
-        // waiting read forever; writes are posted and drain in the
-        // read-free gaps.
-        if (!readQueue.empty()) {
-            src = &readQueue;
-            chosen = pick(readQueue, 64);
-            if (chosen == none) {
-                scheduleWakeup(
-                    std::max(earliest(readQueue, 64), now + 1));
-                return;
-            }
-        } else {
-            src = &writeQueue;
-            chosen = pick(writeQueue, writeScanWindow);
-            if (chosen == none) {
-                scheduleWakeup(std::max(
-                    earliest(writeQueue, writeScanWindow), now + 1));
-                return;
-            }
-        }
+    // FR-FCFS prefers ready row hits, then any ready request, oldest
+    // first, within the served queue's window; FCFS scans a window
+    // of one.
+    ScanTarget target = scanTarget();
+    beginScan();
+    std::size_t chosen = pick(target, now);
+    if (chosen == npos) {
+        scheduleWakeup(wakeAt(target, now + 1));
+        return;
     }
-
-    if (issueFor(src->at(chosen)))
-        src->eraseAt(chosen);
-    scheduleWakeup(now + spec.period());
+    if (issueFor(target.queue->at(chosen)))
+        target.queue->eraseAt(chosen);
+    armAfterCommand(now);
 }
 
 void
@@ -455,7 +495,6 @@ DramController::snapshotTo(snapshot::StateSink &sink) const
     sink.u64(dataBusFree);
     sink.u64(cmdBusFree);
     sink.u64(nextRefresh);
-    sink.boolean(refreshPending);
     sink.boolean(wakeupScheduled);
     sink.u64(wakeupAt);
     statGroup.snapshotTo(sink);
@@ -509,9 +548,8 @@ DramController::restoreFrom(snapshot::StateSource &src)
     dataBusFree = src.u64();
     cmdBusFree = src.u64();
     nextRefresh = src.u64();
-    refreshPending = src.boolean();
     bool wakeup = src.boolean();
-    Tick wakeup_at = src.u64();
+    wakeupAt = src.u64();
     statGroup.restoreFrom(src);
     cacheStatPointers(); // restoreFrom rebuilt the stat maps.
     bool had_checker = src.boolean();
@@ -523,21 +561,11 @@ DramController::restoreFrom(snapshot::StateSource &src)
         Ddr4Checker scratch(spec, map.geometry());
         scratch.restoreFrom(src);
     }
-    // Re-arm the refresh wakeup the captured world had pending. The
-    // guarded closure matches scheduleWakeup()'s exactly, and runs
-    // before any post-restore work because restore happens before
-    // the caller issues anything new.
-    if (wakeup) {
-        wakeupScheduled = true;
-        wakeupAt = wakeup_at;
-        Tick when = wakeup_at;
-        eventq.schedule(when, [this, when] {
-            if (wakeupScheduled && wakeupAt == when) {
-                wakeupScheduled = false;
-                process();
-            }
-        });
-    }
+    // Re-arm the refresh wakeup the captured world had pending. It
+    // runs before any post-restore work because restore happens
+    // before the caller issues anything new.
+    if (wakeup)
+        armWakeup(wakeupAt);
 }
 
 bool
@@ -548,20 +576,20 @@ DramController::issueFor(LineReq &r)
     BankState &b = banks[bankIndex(r.coord)];
     if (b.open && b.row == r.coord.row) {
         if (!r.classified)
-            statGroup.scalar("row_hits").inc();
+            st.rowHits->inc();
         r.classified = true;
         issueCas(r);
         return true;
     }
     if (b.open) {
         if (!r.classified)
-            statGroup.scalar("row_conflicts").inc();
+            st.rowConflicts->inc();
         r.classified = true;
         issuePre(r.coord);
         return false;
     }
     if (!r.classified)
-        statGroup.scalar("row_misses").inc();
+        st.rowMisses->inc();
     r.classified = true;
     issueAct(r.coord);
     return false;

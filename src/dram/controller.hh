@@ -124,7 +124,6 @@ class DramController
     {
         unsigned remaining;
         DoneCallback done;
-        Tick lastData = 0;
     };
 
     // simlint-transient(LineReq entries live in readQueue/writeQueue,
@@ -159,7 +158,16 @@ class DramController
                    g.banksPerGroup + c.bank;
     }
 
+    /** Wake at @p when unless an earlier wakeup is already armed. */
     void scheduleWakeup(Tick when);
+    /** Arm the guarded wakeup closure at @p when, unconditionally. */
+    void armWakeup(Tick when);
+    /**
+     * After a command (or refresh) issued at @p now, arm the one
+     * wakeup at which the next command can actually issue; see
+     * DESIGN.md "AIT DRAM scheduler and O(1) quiescence".
+     */
+    void armAfterCommand(Tick now);
     void process();
 
     /** Record @p cmd in the trace and feed the online checker. */
@@ -167,6 +175,32 @@ class DramController
 
     /** Earliest tick the next required command for @p r can issue. */
     Tick earliestIssue(const LineReq &r) const;
+
+    /** The queue the scheduler serves next and its scan window. */
+    // simlint-transient(value returned by scanTarget() and consumed
+    // within the same event; never stored)
+    struct ScanTarget
+    {
+        FifoRing<LineReq> *queue;
+        unsigned window;
+    };
+    ScanTarget scanTarget();
+
+    /**
+     * earliestIssue(@p r), memoized per (bank, row hit or not) for
+     * the current scan: within one queue that pair fully determines
+     * the answer. beginScan() invalidates the memo after a state
+     * change.
+     */
+    Tick classIssue(const LineReq &r);
+    void beginScan() { ++scanEpoch; }
+
+    /** FR-FCFS pick in @p t's window: oldest ready row hit, else
+     *  oldest ready request; npos when nothing can issue at @p now. */
+    std::size_t pick(const ScanTarget &t, Tick now);
+    /** max(@p floor, earliest issue tick over @p t's window); stops
+     *  scanning at the first request that can issue by @p floor. */
+    Tick wakeAt(const ScanTarget &t, Tick floor);
 
     /** Issue the next required command for @p r at the current tick.
      *  @return true if @p r received its CAS (data scheduled). */
@@ -219,7 +253,23 @@ class DramController
     // capture since the request queues are REQUIREd empty)
     std::vector<std::uint32_t> freeParents;
     std::uint64_t nextSeq = 0;
+    static constexpr unsigned readScanWindow = 64;
     static constexpr unsigned writeScanWindow = 32;
+
+    /** One bank's memoized earliestIssue pair for the current scan. */
+    // simlint-transient(per-scan scratch, see scanMemo)
+    struct ScanMemo
+    {
+        std::uint64_t epoch[2] = {0, 0}; ///< [row hit?] scan stamp.
+        Tick at[2] = {0, 0};             ///< [row hit?] issue tick.
+    };
+    // simlint-transient(per-scan scratch: every process() and
+    // armAfterCommand() starts a new epoch, so no memo outlives the
+    // event that filled it)
+    std::vector<ScanMemo> scanMemo;
+    // simlint-transient(per-scan scratch epoch; only equality with a
+    // memo's epoch matters, and a restored controller starts fresh)
+    std::uint64_t scanEpoch = 1;
 
     /** Per-(rank,bankgroup) last CAS for tCCD_L / tRRD_L tracking. */
     std::vector<Tick> lastCasInGroup;
@@ -232,20 +282,35 @@ class DramController
     Tick cmdBusFree = 0;
 
     Tick nextRefresh;
-    bool refreshPending = false;
 
     bool wakeupScheduled = false;
     Tick wakeupAt = 0;
 
     StatGroup statGroup;
-    /** Cached latency averages: the names exceed std::string's SSO
-     *  and the data-completion event must not allocate per access. */
+    /** Cached stat pointers: the per-command and per-access counters
+     *  would otherwise cost a std::map<std::string> lookup each, and
+     *  the latency names exceed std::string's SSO (the data-completion
+     *  event must not allocate per access). */
+    struct StatPtrs
+    {
+        StatScalar *rowHits = nullptr;
+        StatScalar *rowConflicts = nullptr;
+        StatScalar *rowMisses = nullptr;
+        StatScalar *cmdAct = nullptr;
+        StatScalar *cmdPre = nullptr;
+        StatScalar *cmdRd = nullptr;
+        StatScalar *cmdWr = nullptr;
+        StatScalar *cmdRef = nullptr;
+        StatScalar *readAccesses = nullptr;
+        StatScalar *writeAccesses = nullptr;
+        StatScalar *bytesRead = nullptr;
+        StatScalar *bytesWritten = nullptr;
+        StatAverage *readLatency = nullptr;
+        StatAverage *writeLatency = nullptr;
+    };
     // simlint-transient(re-resolved by cacheStatPointers after
     // restoreFrom rebuilds the stat maps)
-    StatAverage *sReadLatency = nullptr;
-    // simlint-transient(re-resolved by cacheStatPointers after
-    // restoreFrom rebuilds the stat maps)
-    StatAverage *sWriteLatency = nullptr;
+    StatPtrs st;
     /** Re-resolve the cached stat pointers (ctor and post-restore). */
     void cacheStatPointers();
     // simlint-transient(the command trace is documented as not

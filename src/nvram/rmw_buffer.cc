@@ -163,14 +163,17 @@ RmwBuffer::acceptWrite(Addr addr, std::uint32_t bytes,
     Tick access = nsToTicks(cfg.rmwAccessNs);
     statGroup.scalar("writes").inc();
 
-    // The cached clean count drives both eviction and admission; it
-    // must match a recount, and the buffer must hold its 64 x 256B.
+    // The cached clean count drives both eviction and admission, the
+    // write-pending count drives quiescence; both must match a
+    // recount, and the buffer must hold its 64 x 256B.
     VANS_AUDIT("rmw", eventq.curTick(),
                cleanCount == countedClean() &&
+                   writePendingCount == countedWritePending() &&
                    entries.size() <= cfg.rmwEntries,
-               "clean count %zu vs recount %zu, %zu lines (cap %u)",
-               cleanCount, countedClean(), entries.size(),
-               cfg.rmwEntries);
+               "clean count %zu vs recount %zu, write-pending count "
+               "%zu vs recount %zu, %zu lines (cap %u)",
+               cleanCount, countedClean(), writePendingCount,
+               countedWritePending(), entries.size(), cfg.rmwEntries);
 
     auto finish = [this, access, done = std::move(done)]() mutable {
         eventq.scheduleAfter(access, [this,
@@ -191,17 +194,26 @@ RmwBuffer::acceptWrite(Addr addr, std::uint32_t bytes,
                      "write merged into staged line %llx (state %u)",
                      static_cast<unsigned long long>(line),
                      static_cast<unsigned>(e->state));
+        bool was_pending = writePending(*e);
         e->dirtyBytes += bytes;
         switch (e->state) {
           case State::Clean:
             e->state = State::Dirty;
             --cleanCount;
+            // Count before issuing: the AIT may take the line, and
+            // finishWrite uncount it, before enqueueIssue returns.
+            ++writePendingCount;
             enqueueIssue(line);
             break;
           case State::Filling:
+            // Combines; the first written bytes make a read fill
+            // write-pending.
+            if (!was_pending && writePending(*e))
+                ++writePendingCount;
+            break;
           case State::Dirty:
           case State::IssuedWait:
-            break; // Filling combines; the rest rejected above.
+            break; // Rejected above.
         }
         finish();
         return;
@@ -223,11 +235,14 @@ RmwBuffer::acceptWrite(Addr addr, std::uint32_t bytes,
         // Full-line write: no fill needed (this is what LSQ write
         // combining buys).
         ne.state = State::Dirty;
+        ++writePendingCount;
         enqueueIssue(line);
     } else {
         // Sub-256B write: the eponymous read-modify-write.
         statGroup.scalar("rmw_fills").inc();
         ne.state = State::Filling;
+        if (writePending(ne))
+            ++writePendingCount;
         ++writeFillsInFlight;
         Tick fill_start = eventq.curTick();
         eventq.scheduleAfter(access, [this, line, fill_start] {
@@ -240,6 +255,8 @@ RmwBuffer::acceptWrite(Addr addr, std::uint32_t bytes,
                 if (e2 && e2->state == State::Filling) {
                     auto waiters = std::move(e2->mergeWaiters);
                     e2->mergeWaiters.clear();
+                    if (!writePending(*e2))
+                        ++writePendingCount; // Zero-byte write.
                     e2->state = State::Dirty;
                     enqueueIssue(line);
                     for (auto &w : waiters) {
@@ -294,6 +311,8 @@ RmwBuffer::drainIssue()
 void
 RmwBuffer::finishWrite(Entry &e, Tick)
 {
+    if (writePending(e))
+        --writePendingCount;
     e.dirtyBytes = 0;
     if (e.writeStaging) {
         // Pure staging entry: free the slot once the AIT has the
@@ -322,31 +341,30 @@ RmwBuffer::countedClean() const
     return n;
 }
 
+std::size_t
+RmwBuffer::countedWritePending() const
+{
+    std::size_t n = 0;
+    for (const auto &kv : entries) {
+        if (writePending(kv.second))
+            ++n;
+    }
+    return n;
+}
+
 bool
 RmwBuffer::writeQuiescent() const
 {
-    if (!issueFifo.empty() || issueBusy)
-        return false;
-    for (const auto &kv : entries) {
-        const Entry &e = kv.second;
-        if (e.state == State::Dirty || e.state == State::IssuedWait ||
-            (e.state == State::Filling && e.dirtyBytes > 0)) {
-            return false;
-        }
-    }
-    return true;
+    return issueFifo.empty() && !issueBusy && writePendingCount == 0;
 }
 
 bool
 RmwBuffer::quiescent() const
 {
-    if (!writeQuiescent() || writeFillsInFlight != 0)
-        return false;
-    for (const auto &kv : entries) {
-        if (kv.second.state != State::Clean)
-            return false;
-    }
-    return true;
+    // Every entry Clean leaves nothing write-pending, so the
+    // write-quiescence count need not be consulted.
+    return issueFifo.empty() && !issueBusy &&
+           writeFillsInFlight == 0 && cleanCount == entries.size();
 }
 
 void

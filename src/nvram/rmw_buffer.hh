@@ -68,10 +68,12 @@ class RmwBuffer
     /** Registered by the LSQ to learn about freed space. */
     InplaceFunction<void()> onSpaceFreed;
 
-    /** True when no dirty data is staged or queued toward the AIT. */
+    /** True when no dirty data is staged or queued toward the AIT.
+     *  O(1): the iMC fence poll asks every 20 ns. */
     bool writeQuiescent() const;
 
-    /** Snapshot precondition: every entry Clean, no fills open. */
+    /** Snapshot precondition: every entry Clean, no fills open.
+     *  O(1): MemorySystem::drain() asks after every event. */
     bool quiescent() const;
 
     /** Resident-line count (tests and probers). */
@@ -139,8 +141,19 @@ class RmwBuffer
     void drainIssue();
     void finishWrite(Entry &e, Tick when);
 
+    /** Entry holds write data not yet handed to the AIT. */
+    static bool
+    writePending(const Entry &e)
+    {
+        return e.state == State::Dirty ||
+               e.state == State::IssuedWait ||
+               (e.state == State::Filling && e.dirtyBytes > 0);
+    }
+
     /** Recount State::Clean entries (audits only). */
     std::size_t countedClean() const;
+    /** Recount writePending() entries (audits only). */
+    std::size_t countedWritePending() const;
 
     EventQueue &eventq;
     // simlint-transient(construction-time configuration: capture and
@@ -151,6 +164,12 @@ class RmwBuffer
     std::unordered_map<Addr, Entry> entries;
     std::list<Addr> cleanLru;          ///< Front = most recent.
     std::size_t cleanCount = 0;        ///< Entries in State::Clean.
+    /** Entries for which writePending() holds, kept at every state
+     *  transition so writeQuiescent() need not walk the map. */
+    // simlint-transient(zero at capture -- snapshotTo REQUIREs
+    // writeQuiescent -- and zero in the fresh buffer restoreFrom
+    // REQUIREs)
+    std::size_t writePendingCount = 0;
     // simlint-transient(holds dirty lines only; writeQuiescent --
     // the snapshot precondition -- means none exist, and restoreFrom
     // REQUIREs it empty)

@@ -286,6 +286,29 @@ TEST(CpuCore, IndependentLoadsOverlap)
     EXPECT_LT(indep.elapsed, dep.elapsed / 2);
 }
 
+TEST(CpuCore, LoadsChainBehindInFlightPageWalks)
+{
+    VansFixture f;
+    // Independent loads, one per 1 MB-apart page: each misses the TLB
+    // and its PTE misses the LLC, so every data read is chained behind
+    // its still-running page-table read. The chaining watcher must be
+    // freed once the read issues (the sanitizer lane checks leaks).
+    std::vector<trace::TraceInst> v;
+    for (int i = 0; i < 32; ++i) {
+        trace::TraceInst ld;
+        ld.type = trace::InstType::Load;
+        ld.addr = static_cast<Addr>(i) * (1 << 20) + 64;
+        v.push_back(ld);
+    }
+    auto st = runOn(f.sys, v);
+    EXPECT_EQ(st.memReads, 32u);
+    // One page-table read plus one chained data read per load.
+    EXPECT_EQ(f.sys.imc().stats().scalarValue("reads"), 64u);
+    // A chained read issues only after its walk read returns, so
+    // the run costs at least two dependent media round trips.
+    EXPECT_GT(ticksToNs(st.elapsed), 2 * 300.0);
+}
+
 TEST(CpuCore, CachedLoadsNeverTouchMemory)
 {
     VansFixture f;

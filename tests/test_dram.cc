@@ -432,3 +432,264 @@ TEST(Checker, CleanStreamPasses)
     auto v = checker.check(cmds);
     EXPECT_TRUE(v.empty());
 }
+
+// ---- Lockstep pin: exact command stream and completion ticks ------
+//
+// Each case hashes every emitted DramCommand (tick, kind, coordinates),
+// every access's completion tick and the command/row counters. The
+// hashes were recorded from the per-cycle polling scheduler; any
+// scheduler rewrite must reproduce them bit for bit.
+
+namespace
+{
+
+/** FNV-1a over little-endian 64-bit words. */
+struct StreamHash
+{
+    std::uint64_t h = 1469598103934665603ull;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    }
+};
+
+/** Controller under test plus the completion log it feeds. */
+struct PinnedRun
+{
+    EventQueue eq;
+    DramGeometry geom;
+    DramController ctrl;
+    std::vector<std::pair<std::uint64_t, Tick>> completions;
+    std::uint64_t issued = 0;
+
+    PinnedRun(const DramTiming &timing, SchedPolicy policy)
+        : geom(makeGeom()),
+          ctrl(eq, timing, geom, policy, MapScheme::RowBankCol, "pin")
+    {
+        ctrl.trace().setEnabled(true);
+    }
+
+    static DramGeometry
+    makeGeom()
+    {
+        DramGeometry g;
+        g.capacityBytes = 1ull << 30;
+        return g;
+    }
+
+    void
+    access(Addr a, bool write, std::uint32_t size)
+    {
+        std::uint64_t id = issued++;
+        ctrl.access(a, write, size, [this, id](Tick t) {
+            completions.emplace_back(id, t);
+        });
+    }
+
+    std::uint64_t
+    hash()
+    {
+        StreamHash s;
+        const auto &cmds = ctrl.trace().commands();
+        s.add(cmds.size());
+        for (const DramCommand &c : cmds) {
+            s.add(c.tick);
+            s.add(static_cast<std::uint64_t>(c.cmd));
+            s.add(c.rank);
+            s.add(c.bankGroup);
+            s.add(c.bank);
+            s.add(c.row);
+            s.add(c.column);
+        }
+        s.add(completions.size());
+        for (const auto &[id, t] : completions) {
+            s.add(id);
+            s.add(t);
+        }
+        for (const char *stat :
+             {"row_hits", "row_conflicts", "row_misses", "cmd_act",
+              "cmd_pre", "cmd_rd", "cmd_wr", "cmd_ref"})
+            s.add(ctrl.statsConst().scalarValue(stat));
+        return s.h;
+    }
+};
+
+/** The runAndCheck traffic: every access enqueued at tick 0. */
+std::uint64_t
+sweepHash(const DramTiming &timing, SchedPolicy policy,
+          unsigned accesses, double write_frac,
+          std::uint64_t addr_space, std::uint64_t seed,
+          std::uint32_t size)
+{
+    PinnedRun run(timing, policy);
+    Rng rng(seed);
+    for (unsigned i = 0; i < accesses; ++i) {
+        Addr a = rng.below(addr_space / 64) * 64;
+        bool w = rng.uniform() < write_frac;
+        run.access(a, w, size);
+    }
+    while (run.completions.size() < accesses && run.eq.step()) {
+    }
+    EXPECT_EQ(run.completions.size(), accesses);
+    return run.hash();
+}
+
+/**
+ * Bursty open- and closed-loop traffic over at least three refresh
+ * intervals: bursts of mixed reads and writes arrive on clock edges
+ * (so arrivals land on the same tick as scheduler wakeups), some
+ * read completions chain a dependent access from inside the data
+ * event, and idle gaps of up to several microseconds separate the
+ * bursts.
+ */
+std::uint64_t
+longRunHash(const DramTiming &timing, SchedPolicy policy,
+            std::uint64_t seed)
+{
+    PinnedRun run(timing, policy);
+    Rng plan(seed);
+    Rng chained(seed ^ 0x5a5a5a5aull);
+    Tick tck = timing.period();
+    Tick refi = DramTiming::ddr4_2666().cyc(
+        DramTiming::ddr4_2666().tREFI);
+    Tick horizon = 3 * refi + refi / 2;
+
+    auto draw = [](Rng &rng, Addr &a, bool &w, std::uint32_t &size) {
+        // Hot rows give row hits; the far range gives conflicts.
+        a = rng.uniform() < 0.5 ? rng.below(1u << 14) * 64
+                                : rng.below(1u << 22) * 64;
+        w = rng.uniform() < 0.4;
+        static constexpr std::uint32_t sizes[] = {64, 64, 128, 256};
+        size = sizes[rng.below(4)];
+    };
+
+    Tick t = 0;
+    while (t < horizon) {
+        unsigned n = 4 + static_cast<unsigned>(plan.below(40));
+        for (unsigned i = 0; i < n; ++i) {
+            Tick at = t + plan.below(96) * tck;
+            Addr a;
+            bool w;
+            std::uint32_t size;
+            draw(plan, a, w, size);
+            bool chain = !w && plan.uniform() < 0.3;
+            run.eq.schedule(at, [&run, &chained, &draw, a, w, size,
+                                 chain] {
+                std::uint64_t id = run.issued++;
+                run.ctrl.access(a, w, size, [&run, &chained, &draw,
+                                             id, chain](Tick done) {
+                    run.completions.emplace_back(id, done);
+                    if (!chain)
+                        return;
+                    Addr a2;
+                    bool w2;
+                    std::uint32_t size2;
+                    draw(chained, a2, w2, size2);
+                    run.access(a2, w2, size2);
+                });
+            });
+        }
+        // Idle gap: from back-to-back to several microseconds.
+        t += (96 + plan.below(3000)) * tck;
+    }
+    run.eq.runUntil(horizon + refi);
+    EXPECT_EQ(run.completions.size(), run.issued);
+    EXPECT_GE(run.ctrl.statsConst().scalarValue("cmd_ref"),
+              timing.tREFI ? 3u : 0u);
+    return run.hash();
+}
+
+struct PinParam
+{
+    const char *name;
+    std::uint64_t (*run)();
+    std::uint64_t expected;
+};
+
+void
+PrintTo(const PinParam &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
+class DramStreamPin : public ::testing::TestWithParam<PinParam>
+{};
+
+TEST_P(DramStreamPin, MatchesRecordedStream)
+{
+    const auto &p = GetParam();
+    std::uint64_t got = p.run();
+    EXPECT_EQ(got, p.expected)
+        << p.name << ": command stream hash 0x" << std::hex << got;
+}
+
+std::uint64_t
+sweep(double write_frac, std::uint64_t addr_space, std::uint32_t size)
+{
+    return sweepHash(DramTiming::ddr4_2666(), SchedPolicy::FRFCFS, 400,
+                     write_frac, addr_space, 11, size);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, DramStreamPin,
+    ::testing::Values(
+        PinParam{"read_seq", [] { return sweep(0.0, 1 << 16, 64); },
+                 0x11a47bd38e80ef08ull},
+        PinParam{"read_rand", [] { return sweep(0.0, 1u << 28, 64); },
+                 0x41a9991a6ee4d579ull},
+        PinParam{"write_rand", [] { return sweep(1.0, 1u << 28, 64); },
+                 0xd45ace788f10016bull},
+        PinParam{"mixed_rand", [] { return sweep(0.5, 1u << 28, 64); },
+                 0xd5d82275568fa131ull},
+        PinParam{"mixed_hot", [] { return sweep(0.5, 1 << 14, 64); },
+                 0xa7534fa39bac5e0full},
+        PinParam{"bulk_256B", [] { return sweep(0.5, 1u << 26, 256); },
+                 0x7256f0eeef5b607aull},
+        PinParam{"bulk_4K", [] { return sweep(0.3, 1u << 26, 4096); },
+                 0x0984b63e7e2e3788ull},
+        PinParam{"fcfs",
+                 [] {
+                     return sweepHash(DramTiming::ddr4_2666(),
+                                      SchedPolicy::FCFS, 300, 0.5,
+                                      1u << 26, 13, 64);
+                 },
+                 0xde4782b86217e23full},
+        PinParam{"ddr3",
+                 [] {
+                     return sweepHash(DramTiming::ddr3_1600(),
+                                      SchedPolicy::FRFCFS, 300, 0.5,
+                                      1u << 26, 17, 64);
+                 },
+                 0x3b387ac7999b622bull},
+        PinParam{"long_frfcfs",
+                 [] {
+                     return longRunHash(DramTiming::ddr4_2666(),
+                                        SchedPolicy::FRFCFS, 23);
+                 },
+                 0xa0a600f3b7e010cdull},
+        PinParam{"long_fcfs",
+                 [] {
+                     return longRunHash(DramTiming::ddr4_2666(),
+                                        SchedPolicy::FCFS, 29);
+                 },
+                 0x4c8102780ff59ac2ull},
+        PinParam{"long_ddr3",
+                 [] {
+                     return longRunHash(DramTiming::ddr3_1600(),
+                                        SchedPolicy::FRFCFS, 31);
+                 },
+                 0x485edfacdf851581ull},
+        PinParam{"long_pcm_norefresh",
+                 [] {
+                     return longRunHash(DramTiming::pcmLike(),
+                                        SchedPolicy::FRFCFS, 37);
+                 },
+                 0x6ce677fe141f760bull}),
+    [](const auto &info) { return std::string(info.param.name); });
+
+} // namespace
