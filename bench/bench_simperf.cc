@@ -23,6 +23,23 @@ using namespace vans;
 namespace
 {
 
+/**
+ * Export the kernel events executed per item as a work counter. For a
+ * given iteration count it is exact on any host, unlike wall time, so
+ * a structural change (one more event per write, say) shows at once.
+ * Warm-up and periodic refresh make it drift slightly with the
+ * iteration count, so compare runs of equal length.
+ */
+void
+setEventsPerItem(benchmark::State &state, std::uint64_t events,
+                 std::size_t items_per_iteration)
+{
+    double items = static_cast<double>(state.iterations()) *
+                   static_cast<double>(items_per_iteration);
+    state.counters["events_per_item"] =
+        items > 0 ? static_cast<double>(events) / items : 0.0;
+}
+
 void
 BM_EventQueue(benchmark::State &state)
 {
@@ -93,10 +110,12 @@ BM_VansWriteStream(benchmark::State &state)
     std::vector<Addr> addrs;
     for (Addr a = 0; a < 64 * 64; a += 64)
         addrs.push_back(a);
+    std::uint64_t events = eq.executed();
     for (auto _ : state) {
         benchmark::DoNotOptimize(drv.streamWrites(addrs, 16));
     }
     state.SetItemsProcessed(state.iterations() * addrs.size());
+    setEventsPerItem(state, eq.executed() - events, addrs.size());
 }
 BENCHMARK(BM_VansWriteStream);
 
@@ -186,6 +205,7 @@ BM_VansFig05StoreSweep(benchmark::State &state)
     std::vector<Addr> lines;
     for (Addr a = 0; a < 8 * cacheLineSize; a += cacheLineSize)
         lines.push_back(a);
+    std::uint64_t events = eq.executed();
     for (auto _ : state) {
         // Merging rewrites of the same 8 lines plus a draining
         // fence: the LSQ combining plateau of Fig 5a.
@@ -194,6 +214,7 @@ BM_VansFig05StoreSweep(benchmark::State &state)
         benchmark::DoNotOptimize(drv.fence());
     }
     state.SetItemsProcessed(state.iterations() * lines.size());
+    setEventsPerItem(state, eq.executed() - events, lines.size());
 }
 BENCHMARK(BM_VansFig05StoreSweep);
 

@@ -1,5 +1,8 @@
 #include "nvram/lsq.hh"
 
+#include <algorithm>
+#include <tuple>
+
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "common/snapshot.hh"
@@ -13,6 +16,8 @@ Lsq::Lsq(EventQueue &eq, const NvramConfig &config, RmwBuffer &rmw_ref,
     : eventq(eq), cfg(config), rmw(rmw_ref), statGroup(name)
 {
     rmw.onSpaceFreed = [this] { drain(); };
+    // Every group holds at least one of the lsqEntries entries.
+    readySet.reserve(cfg.lsqEntries);
 }
 
 void
@@ -29,57 +34,37 @@ Lsq::attachTracer(obs::TraceRecorder &rec,
 bool
 Lsq::canAcceptWrite(Addr addr) const
 {
-    Addr block = blockOf(addr);
-    auto it = groups.find(block);
-    if (it != groups.end() && !it->second.draining) {
-        unsigned lane = static_cast<unsigned>(
-            (addr / cacheLineSize) % linesPerBlock());
-        if (it->second.presentMask & (1u << lane))
-            return true; // Merge onto a pending line: free.
-    }
+    auto it = groups.find(blockOf(addr));
+    if (it != groups.end() && (it->second.presentMask & laneBit(addr)))
+        return true; // Merge onto a pending line: free.
     return numEntries < cfg.lsqEntries;
 }
 
 void
 Lsq::acceptWrite(Addr addr)
 {
-    Addr block = blockOf(addr);
-    unsigned lane = static_cast<unsigned>(
-        (addr / cacheLineSize) % linesPerBlock());
     Tick now = eventq.curTick();
-
-    auto it = groups.find(block);
-    if (it != groups.end() && !it->second.draining) {
-        Group &g = it->second;
-        if (g.presentMask & (1u << lane)) {
-            statGroup.scalar("write_merges").inc();
-        } else {
-            g.presentMask |= (1u << lane);
-            ++numEntries;
-            statGroup.scalar("writes").inc();
-        }
-        g.lastTouch = now;
-        if (tracer) [[unlikely]]
-            tracer->counter(traceTrack, lblOccupancy, now,
-                            static_cast<double>(numEntries));
-        if (groupFull(g))
-            scheduleDrainCheck(now);
-        else
-            scheduleDrainCheck(now + nsToTicks(cfg.lsqEpochNs));
-        return;
+    auto it = groups.find(blockOf(addr));
+    bool opened = it == groups.end();
+    if (opened) {
+        // The caller (the iMC drain) must have probed canAcceptWrite:
+        // the LSQ is the 4KB on-DIMM queue and never overcommits.
+        VANS_REQUIRE("lsq", now, numEntries < cfg.lsqEntries,
+                     "acceptWrite without room (%zu entries, capacity "
+                     "%u)",
+                     numEntries, cfg.lsqEntries);
     }
 
-    // The caller (the iMC drain) must have probed canAcceptWrite:
-    // the LSQ is the 4KB on-DIMM queue and never overcommits.
-    VANS_REQUIRE("lsq", now, numEntries < cfg.lsqEntries,
-                 "acceptWrite without room (%zu entries, capacity %u)",
-                 numEntries, cfg.lsqEntries);
-
-    Group &g = openGroup(block);
-    g.presentMask |= (1u << lane);
-    g.lastTouch = now;
-    ++numEntries;
-    statGroup.scalar("writes").inc();
+    Group &g = opened ? openGroup(blockOf(addr)) : it->second;
+    unsigned bit = laneBit(addr);
+    if (g.presentMask & bit) {
+        statGroup.scalar("write_merges").inc();
+    } else {
+        g.presentMask |= bit;
+        ++numEntries;
+        statGroup.scalar("writes").inc();
+    }
+    touch(g);
     if (tracer) [[unlikely]]
         tracer->counter(traceTrack, lblOccupancy, now,
                         static_cast<double>(numEntries));
@@ -90,44 +75,99 @@ Lsq::acceptWrite(Addr addr)
 
     // High-watermark pressure keeps the queue from deadlocking the
     // bus when random traffic never completes a block.
-    if (numEntries >= cfg.lsqEntries - cfg.lsqEntries / 8)
+    if (opened && pressured())
         scheduleDrainCheck(now);
 }
 
 Lsq::Group &
 Lsq::openGroup(Addr block)
 {
-    Tick now = eventq.curTick();
+    Group *g;
     if (!freeGroups.empty()) {
         auto nh = std::move(freeGroups.back());
         freeGroups.pop_back();
         nh.key() = block;
-        Group &g = nh.mapped();
-        g.block = block;
-        g.presentMask = 0;
-        g.oldest = now;
-        g.lastTouch = now;
-        g.sealed = false;
-        g.draining = false;
-        return groups.insert(std::move(nh)).position->second;
+        g = &groups.insert(std::move(nh)).position->second;
+    } else {
+        g = &groups[block];
     }
-    Group &g = groups[block];
-    g.block = block;
-    g.oldest = now;
-    return g;
+    g->block = block;
+    g->presentMask = 0;
+    g->oldest = eventq.curTick();
+    g->lastTouch = g->oldest;
+    g->sealed = false;
+    g->ready = false;
+    appendOpen(*g);
+    return *g;
+}
+
+void
+Lsq::touch(Group &g)
+{
+    g.lastTouch = eventq.curTick();
+    if (groupFull(g) || g.sealed) {
+        makeReady(g);
+        return;
+    }
+    // Not full, not sealed, and just touched: open, at the tail.
+    if (openTail == &g)
+        return;
+    unindex(g);
+    appendOpen(g);
+}
+
+bool
+Lsq::drainsLater(const Group *a, const Group *b)
+{
+    return std::tie(a->oldest, a->block) > std::tie(b->oldest, b->block);
+}
+
+void
+Lsq::makeReady(Group &g)
+{
+    if (g.ready)
+        return;
+    unlinkOpen(g);
+    g.ready = true;
+    readySet.insert(std::lower_bound(readySet.begin(), readySet.end(),
+                                     &g, drainsLater),
+                    &g);
+}
+
+void
+Lsq::appendOpen(Group &g)
+{
+    g.prevOpen = openTail;
+    g.nextOpen = nullptr;
+    (openTail ? openTail->nextOpen : openHead) = &g;
+    openTail = &g;
+}
+
+void
+Lsq::unlinkOpen(Group &g)
+{
+    (g.prevOpen ? g.prevOpen->nextOpen : openHead) = g.nextOpen;
+    (g.nextOpen ? g.nextOpen->prevOpen : openTail) = g.prevOpen;
+    g.prevOpen = g.nextOpen = nullptr;
+}
+
+void
+Lsq::unindex(Group &g)
+{
+    if (!g.ready) {
+        unlinkOpen(g);
+        return;
+    }
+    readySet.erase(std::lower_bound(readySet.begin(), readySet.end(),
+                                    &g, drainsLater));
+    g.ready = false;
 }
 
 bool
 Lsq::readProbe(Addr addr, DoneCallback hazard_done)
 {
-    Addr block = blockOf(addr);
-    auto it = groups.find(block);
-    if (it == groups.end())
-        return false;
-    unsigned lane = static_cast<unsigned>(
-        (addr / cacheLineSize) % linesPerBlock());
-    Group &g = it->second;
-    if (!g.draining && !(g.presentMask & (1u << lane)))
+    auto it = groups.find(blockOf(addr));
+    if (it == groups.end() || !(it->second.presentMask & laneBit(addr)))
         return false;
 
     // Read-after-write hazard: force the group out and hold the
@@ -136,7 +176,9 @@ Lsq::readProbe(Addr addr, DoneCallback hazard_done)
     if (tracer) [[unlikely]]
         tracer->instant(traceTrack, lblHazard, eventq.curTick(),
                         addr);
+    Group &g = it->second;
     g.sealed = true;
+    makeReady(g);
     g.hazardWaiters.push_back(std::move(hazard_done));
     scheduleDrainCheck(eventq.curTick());
     return true;
@@ -146,19 +188,16 @@ bool
 Lsq::pendingLine(Addr addr) const
 {
     auto it = groups.find(blockOf(addr));
-    if (it == groups.end())
-        return false;
-    unsigned lane = static_cast<unsigned>(
-        (addr / cacheLineSize) % linesPerBlock());
-    const Group &g = it->second;
-    return g.draining || (g.presentMask & (1u << lane)) != 0;
+    return it != groups.end() && (it->second.presentMask & laneBit(addr));
 }
 
 void
 Lsq::seal()
 {
-    for (auto &kv : groups)
+    for (auto &kv : groups) {
         kv.second.sealed = true;
+        makeReady(kv.second);
+    }
     statGroup.scalar("seals").inc();
     scheduleDrainCheck(eventq.curTick());
 }
@@ -188,6 +227,42 @@ Lsq::countedEntries() const
     return n;
 }
 
+Lsq::Group *
+Lsq::pressurePick() const
+{
+    Group *pick = openHead;
+    for (Group *g = pick ? pick->nextOpen : nullptr;
+         g && g->lastTouch == openHead->lastTouch; g = g->nextOpen) {
+        if (g->block < pick->block)
+            pick = g;
+    }
+    return pick;
+}
+
+Lsq::Pick
+Lsq::scanPick(Tick now) const
+{
+    Tick epoch = nsToTicks(cfg.lsqEpochNs);
+    Pick ref;
+    const Group *oldest_any = nullptr;
+    for (const auto &kv : groups) {
+        const Group &g = kv.second;
+        if (!oldest_any || g.lastTouch < oldest_any->lastTouch)
+            oldest_any = &g;
+        if (groupFull(g) || g.sealed || now >= g.lastTouch + epoch) {
+            if (!ref.group || g.oldest < ref.group->oldest)
+                ref.group = &g;
+        } else {
+            Tick t = g.lastTouch + epoch;
+            if (!ref.nextCheck || t < ref.nextCheck)
+                ref.nextCheck = t;
+        }
+    }
+    if (!ref.group && pressured())
+        ref.group = oldest_any;
+    return ref;
+}
+
 void
 Lsq::drain()
 {
@@ -197,41 +272,31 @@ Lsq::drain()
     VANS_AUDIT("lsq", now, numEntries == countedEntries(),
                "entry count %zu drifted from recount %zu", numEntries,
                countedEntries());
+
+    // The combining epoch is measured from the *last* touch:
+    // actively rewritten groups stay open and keep absorbing writes,
+    // which is what keeps sub-LSQ working sets cheap (the 4KB store
+    // plateau of Fig 5a). The open list is in lastTouch order, so
+    // the expired groups are a prefix of it.
     Tick epoch = nsToTicks(cfg.lsqEpochNs);
-    bool pressured =
-        numEntries >= cfg.lsqEntries - cfg.lsqEntries / 8;
+    while (openHead && now >= openHead->lastTouch + epoch)
+        makeReady(*openHead);
+    Tick next_check = openHead ? openHead->lastTouch + epoch : 0;
 
-    Tick next_check = 0;
-    // Oldest-first scan; groups is small (<= lsqEntries).
-    Group *oldest_ready = nullptr;
-    Group *oldest_any = nullptr;
-    for (auto &kv : groups) {
-        Group &g = kv.second;
-        if (g.draining || g.presentMask == 0)
-            continue;
-        // Capacity pressure evicts the least-recently-touched
-        // group: it is the least likely to complete its block.
-        if (!oldest_any || g.lastTouch < oldest_any->lastTouch)
-            oldest_any = &g;
-        // The combining epoch is measured from the *last* touch:
-        // actively rewritten groups stay and keep absorbing writes,
-        // which is what keeps sub-LSQ working sets cheap (the 4KB
-        // store plateau of Fig 5a).
-        bool ready = groupFull(g) || g.sealed ||
-                     now >= g.lastTouch + epoch;
-        if (ready) {
-            if (!oldest_ready || g.oldest < oldest_ready->oldest)
-                oldest_ready = &g;
-        } else {
-            Tick t = g.lastTouch + epoch;
-            if (!next_check || t < next_check)
-                next_check = t;
-        }
-    }
-
-    Group *pick = oldest_ready;
-    if (!pick && pressured)
-        pick = oldest_any;
+    // Oldest ready group first; under capacity pressure with none
+    // ready, the least-recently-touched group: it is the least likely
+    // to complete its block.
+    Group *pick = readySet.empty() ? nullptr : readySet.back();
+    if (!pick && pressured())
+        pick = pressurePick();
+    // The index must choose exactly what a scan over every group
+    // would (DESIGN.md "LSQ drain index").
+    VANS_AUDIT("lsq", now, scanPick(now) == (Pick{pick, next_check}),
+               "drain index disagrees with the reference scan (picked "
+               "block %llx, next check %llu)",
+               pick ? static_cast<unsigned long long>(pick->block)
+                    : ~0ull,
+               static_cast<unsigned long long>(next_check));
     if (!pick) {
         if (next_check)
             scheduleDrainCheck(next_check);
@@ -262,6 +327,7 @@ Lsq::startGroupDrain(Group &g)
     // concurrent writes to the same block open a fresh group, and
     // its entries free immediately for the bus to refill.
     numEntries -= lines;
+    unindex(g);
     // Recycle the map node (and its waiter-vector capacity) instead
     // of freeing it: the next group open reuses it allocation-free.
     auto nh = groups.extract(block);

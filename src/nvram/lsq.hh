@@ -8,10 +8,11 @@
  * parent block. A group drains to the RMW buffer when:
  *  - it is complete (all four 64B lines present): drains immediately
  *    as one combined 256B write, skipping the RMW fill;
- *  - its oldest entry exceeds the combining epoch: drains partial
- *    (sub-256B -> triggers read-modify-write downstream);
+ *  - no write has touched it for a whole combining epoch: drains
+ *    partial (sub-256B -> triggers read-modify-write downstream);
  *  - a fence seals the queue: every group becomes drain-eligible;
- *  - occupancy crosses the high watermark: oldest group drains.
+ *  - occupancy crosses the high watermark: the least-recently-
+ *    touched group drains.
  *
  * Reads probe the LSQ; a hit on a pending write is a read-after-
  * write hazard that force-drains the group and makes the read wait
@@ -121,8 +122,22 @@ class Lsq
         Tick oldest = 0;
         Tick lastTouch = 0;
         bool sealed = false;
-        bool draining = false;
+        /** Filed in readySet; otherwise linked on the open list. */
+        bool ready = false;
+        Group *prevOpen = nullptr; ///< Open-list neighbours.
+        Group *nextOpen = nullptr;
         std::vector<DoneCallback> hazardWaiters;
+    };
+
+    /** What one drain call selects: the group to drain (if any) and
+     *  the tick of the next epoch expiry (0: none pending). */
+    // simlint-transient(a value computed and compared within one
+    // drain call; never stored)
+    struct Pick
+    {
+        const Group *group = nullptr;
+        Tick nextCheck = 0;
+        bool operator==(const Pick &) const = default;
     };
 
     Addr blockOf(Addr addr) const { return alignDown(addr,
@@ -131,10 +146,21 @@ class Lsq
     {
         return cfg.rmwLineBytes / cacheLineSize;
     }
+    /** Present-mask bit of the 64B line @p addr within its block. */
+    unsigned laneBit(Addr addr) const
+    {
+        return 1u << ((addr / cacheLineSize) % linesPerBlock());
+    }
     bool groupFull(const Group &g) const
     {
         return g.presentMask ==
                ((1u << linesPerBlock()) - 1u);
+    }
+    /** At or above the high watermark: evict even if nothing is
+     *  ready. */
+    bool pressured() const
+    {
+        return numEntries >= cfg.lsqEntries - cfg.lsqEntries / 8;
     }
     unsigned popcount(std::uint8_t m) const
     {
@@ -145,9 +171,30 @@ class Lsq
     void drain();
     void startGroupDrain(Group &g);
 
-    /** Open a fresh group for @p block, reusing a recycled map node
-     *  (and its hazard-waiter capacity) when one is available. */
+    /** Open a fresh group for @p block at the open-list tail, reusing
+     *  a recycled map node (and its hazard-waiter capacity) when one
+     *  is available. */
     Group &openGroup(Addr block);
+
+    /** Re-file @p g after a write touched it at the current tick. */
+    void touch(Group &g);
+    /** File @p g in readySet (no-op if it is there already). */
+    void makeReady(Group &g);
+    void appendOpen(Group &g);
+    void unlinkOpen(Group &g);
+    /** Remove @p g from whichever index holds it. */
+    void unindex(Group &g);
+    /** readySet order: descending (oldest, block), so the group the
+     *  scan would pick -- least oldest, lowest block on a tie -- is
+     *  last. */
+    static bool drainsLater(const Group *a, const Group *b);
+
+    /** Least-recently-touched group, lowest block on a tie. */
+    Group *pressurePick() const;
+
+    /** Reference selection: the full scan over every group that the
+     *  index replaces (audits only). */
+    Pick scanPick(Tick now) const;
 
     /** Recount entries from the present masks (audits only). */
     std::size_t countedEntries() const;
@@ -166,6 +213,20 @@ class Lsq
     // simlint-transient(a pure allocation cache: holds no simulated
     // state, only empty recycled nodes)
     std::vector<std::map<Addr, Group>::node_type> freeGroups;
+
+    // Drain index. Every group is in exactly one of two places:
+    //  - readySet: full, sealed or past its epoch, sorted by
+    //    descending (oldest, block) so the next drain is at the back;
+    //  - the open list: the rest, in lastTouch order (every touch is
+    //    at curTick, so appending keeps it sorted).
+    // Expiry moves open groups to readySet lazily, at drain().
+    // simlint-transient(empty at capture: it indexes groups, which
+    // snapshotTo REQUIREs empty)
+    std::vector<Group *> readySet;
+    // simlint-transient(null at capture: groups is empty)
+    Group *openHead = nullptr;
+    // simlint-transient(null at capture: groups is empty)
+    Group *openTail = nullptr;
     // simlint-transient(provably 0 at capture, REQUIREd by
     // snapshotTo)
     std::size_t numEntries = 0;

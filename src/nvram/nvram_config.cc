@@ -30,6 +30,19 @@ NvramConfig::validate() const
                   static_cast<unsigned long long>(interleaveBytes),
                   static_cast<unsigned long long>(dimmCapacity));
     }
+    // The LSQ tracks a block's 64B lines in an 8-bit present mask and
+    // finds a line's lane modulo the lines per block: a block below
+    // one line divides by zero, one above 512B overflows the mask and
+    // leaks LSQ entries that never drain.
+    if (rmwLineBytes < cacheLineSize || rmwLineBytes > 8 * cacheLineSize ||
+        (rmwLineBytes & (rmwLineBytes - 1)) != 0) {
+        fatal("[nvram] rmw_line_bytes must be a power of two in "
+              "[%u, %u] (got %u)",
+              cacheLineSize, 8 * cacheLineSize, rmwLineBytes);
+    }
+    if (lsqEntries < 1)
+        fatal("[nvram] lsq_entries must be at least 1 (got %u)",
+              lsqEntries);
     // The sfence partial-drain charge tests wcFill % wcBufferBytes:
     // a buffer smaller than a line (or not a power of two) would
     // charge full-line NT streams at random.

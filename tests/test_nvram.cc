@@ -4,8 +4,12 @@
  * RMW buffer, LSQ, iMC and the assembled system.
  */
 
+#include <deque>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
+#include "common/trace_event.hh"
 #include "nvram/ait.hh"
 #include "nvram/media.hh"
 #include "nvram/wear_leveler.hh"
@@ -350,6 +354,297 @@ TEST(Lsq, ReadAfterWriteHazardDetected)
     EXPECT_GE(hazards, 1u);
 }
 
+TEST(Lsq, EveryValidBlockSizeCombinesWholeBlocks)
+{
+    // The accepted rmw_line_bytes range: one line per block up to the
+    // eight lanes of the present mask.
+    for (std::uint32_t block : {64u, 128u, 256u, 512u}) {
+        NvramConfig cfg = smallConfig();
+        cfg.rmwLineBytes = block;
+        VansFixture f(cfg);
+        for (Addr a = 0; a < 4 * block; a += cacheLineSize)
+            f.drv.write(a);
+        f.drv.fence();
+        auto &lsq = f.sys.dimm(0).lsq();
+        EXPECT_EQ(lsq.occupancy(), 0u) << block;
+        EXPECT_TRUE(lsq.writeQuiescent()) << block;
+        EXPECT_EQ(lsq.stats().scalarValue("combined_drains"), 4u)
+            << block;
+        EXPECT_EQ(lsq.stats().scalarValue("partial_drains"), 0u)
+            << block;
+    }
+}
+
+// ---- Lockstep pin: exact LSQ drain stream --------------------------
+//
+// Each case drives one DIMM's LSQ directly with a planned stream of
+// 64B writes, probes of recently written lines and fences, then
+// hashes every group_drain span (start, end, block), every
+// read-after-write hazard completion tick and the LSQ counters. The
+// hashes were recorded from the drain selection that scanned every
+// group per call; any rewrite of the selection must reproduce them
+// bit for bit.
+
+namespace
+{
+
+/** FNV-1a over little-endian 64-bit words. */
+struct StreamHash
+{
+    std::uint64_t h = 1469598103934665603ull;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    }
+};
+
+/** Shape of one pinned LSQ stream. */
+struct LsqPlan
+{
+    unsigned writes = 2000;
+    unsigned blocks = 64;     ///< Distinct 256B blocks written.
+    bool sequential = false;  ///< Walk the lines in order, else random.
+    /** Mean spacing between writes; each gap is uniform in
+     *  [0, 2 * gapNs], so some writes share a tick. */
+    unsigned gapNs = 4;
+    unsigned burst = 0;       ///< Idle after every N writes (0: never).
+    double idleFrac = 0;      ///< Chance of an idle gap after a write.
+    unsigned idleNs = 0;      ///< Length of an idle gap.
+    double readFrac = 0;      ///< Chance of probing a recent line.
+    unsigned fenceEvery = 0;  ///< Seal after every N writes (0: never).
+    double epochNs = 600;     ///< Combining epoch.
+    std::uint64_t seed = 1;
+};
+
+/** One DIMM fed straight into its LSQ, plus what the run observed. */
+struct LsqPinRun
+{
+    EventQueue eq;
+    NvramDimm dimm;
+    obs::TraceRecorder rec;
+    /** Writes the LSQ cannot admit yet wait here in arrival order, as
+     *  they do in the iMC's WPQ. */
+    std::deque<Addr> backlog;
+    std::vector<Tick> hazards;
+    std::uint64_t probes = 0;
+
+    explicit LsqPinRun(const NvramConfig &cfg) : dimm(eq, cfg, "pin")
+    {
+        dimm.attachTracer(rec, "pin");
+        dimm.setWriteSpaceCallback(
+            [this] { eq.schedule(eq.curTick(), [this] { pump(); }); });
+    }
+
+    void
+    pump()
+    {
+        Lsq &lsq = dimm.lsq();
+        while (!backlog.empty() && lsq.canAcceptWrite(backlog.front())) {
+            lsq.acceptWrite(backlog.front());
+            backlog.pop_front();
+        }
+    }
+
+    void
+    write(Addr a)
+    {
+        backlog.push_back(a);
+        pump();
+    }
+
+    void
+    probe(Addr a)
+    {
+        ++probes;
+        Lsq &lsq = dimm.lsq();
+        if (!lsq.pendingLine(a))
+            return;
+        bool hazard = lsq.readProbe(
+            a, [this](Tick t) { hazards.push_back(t); });
+        EXPECT_TRUE(hazard);
+    }
+
+    std::uint64_t
+    hash()
+    {
+        StreamHash s;
+        std::uint64_t spans = 0;
+        for (const obs::TraceEvent &e : rec.events()) {
+            if (e.kind != obs::TraceEvent::Kind::Span ||
+                rec.labelName(e.label) != "group_drain")
+                continue;
+            ++spans;
+            s.add(e.begin);
+            s.add(e.end);
+            s.add(e.addr);
+        }
+        s.add(spans);
+        s.add(hazards.size());
+        for (Tick t : hazards)
+            s.add(t);
+        s.add(probes);
+        const StatGroup &st = dimm.lsq().stats();
+        for (const char *stat :
+             {"writes", "write_merges", "combined_drains",
+              "partial_drains", "raw_hazards", "seals"})
+            s.add(st.scalarValue(stat));
+        return s.h;
+    }
+};
+
+std::uint64_t
+lsqStreamHash(const LsqPlan &p)
+{
+    NvramConfig cfg = smallConfig();
+    cfg.lsqEpochNs = p.epochNs;
+    LsqPinRun run(cfg);
+    Rng rng(p.seed);
+    const std::uint64_t lines = static_cast<std::uint64_t>(p.blocks) *
+                                (cfg.rmwLineBytes / cacheLineSize);
+    std::vector<Addr> recent;
+    Tick t = 0;
+    for (unsigned i = 0; i < p.writes; ++i) {
+        Addr a = (p.sequential ? i % lines : rng.below(lines)) *
+                 cacheLineSize;
+        run.eq.schedule(t, [&run, a] { run.write(a); });
+        recent.push_back(a);
+        if (p.readFrac > 0 && rng.uniform() < p.readFrac) {
+            // Probe one of the last few lines written, a little later.
+            Addr r = recent[recent.size() - 1 -
+                            rng.below(std::min<std::size_t>(
+                                recent.size(), 8))];
+            Tick at = t + nsToTicks(static_cast<double>(
+                              rng.below(4 * p.gapNs + 1)));
+            run.eq.schedule(at, [&run, r] { run.probe(r); });
+        }
+        if (p.fenceEvery && (i + 1) % p.fenceEvery == 0)
+            run.eq.schedule(t, [&run] { run.dimm.seal(); });
+        t += nsToTicks(static_cast<double>(rng.below(2 * p.gapNs + 1)));
+        if ((p.burst && (i + 1) % p.burst == 0) ||
+            (p.idleFrac > 0 && rng.uniform() < p.idleFrac))
+            t += nsToTicks(p.idleNs);
+    }
+    // Deliver the whole plan, then run until every write has left
+    // the LSQ and every drain has landed in the RMW buffer.
+    run.eq.runUntil(t + nsToTicks(1000));
+    Lsq &lsq = run.dimm.lsq();
+    while ((!run.backlog.empty() || !lsq.writeQuiescent()) &&
+           run.eq.step()) {
+    }
+    EXPECT_TRUE(run.backlog.empty());
+    EXPECT_EQ(lsq.occupancy(), 0u);
+    EXPECT_TRUE(lsq.writeQuiescent());
+    EXPECT_EQ(lsq.stats().scalarValue("writes") +
+                  lsq.stats().scalarValue("write_merges"),
+              p.writes);
+    return run.hash();
+}
+
+struct LsqPinParam
+{
+    const char *name;
+    LsqPlan plan;
+    std::uint64_t expected;
+};
+
+void
+PrintTo(const LsqPinParam &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
+LsqPlan
+plan(void (*shape)(LsqPlan &))
+{
+    LsqPlan p;
+    shape(p);
+    return p;
+}
+
+} // namespace
+
+class LsqStreamPin : public ::testing::TestWithParam<LsqPinParam>
+{};
+
+TEST_P(LsqStreamPin, MatchesRecordedStream)
+{
+    const auto &p = GetParam();
+    std::uint64_t got = lsqStreamHash(p.plan);
+    EXPECT_EQ(got, p.expected)
+        << p.name << ": drain stream hash 0x" << std::hex << got;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, LsqStreamPin,
+    ::testing::Values(
+        // Whole 256B blocks in order: every group drains combined.
+        LsqPinParam{"seq_full", plan([](LsqPlan &p) {
+                        p.sequential = true;
+                        p.blocks = 512;
+                        p.writes = 4096;
+                    }),
+                    0x6fa2ab85670f8d26ull},
+        // Bursts of random lines over 4096 blocks: groups rarely
+        // complete, so once 56 entries are held within one epoch the
+        // high watermark evicts the least-recently-touched group.
+        LsqPinParam{"rand_pressure", plan([](LsqPlan &p) {
+                        p.blocks = 4096;
+                        p.writes = 3000;
+                        p.gapNs = 1;
+                        p.burst = 60;
+                        p.idleNs = 30000;
+                    }),
+                    0x85d076774a1a16b7ull},
+        // Idle gaps beyond the 600 ns epoch, then re-touches of the
+        // expired groups.
+        LsqPinParam{"sparse_retouch", plan([](LsqPlan &p) {
+                        p.blocks = 24;
+                        p.writes = 3000;
+                        p.gapNs = 40;
+                        p.idleFrac = 0.1;
+                        p.idleNs = 900;
+                        p.seed = 2;
+                    }),
+                    0x21baff3a0ff68638ull},
+        // Reads of still-pending lines force their groups out.
+        LsqPinParam{"raw_probe", plan([](LsqPlan &p) {
+                        p.blocks = 96;
+                        p.writes = 4000;
+                        p.gapNs = 6;
+                        p.readFrac = 0.2;
+                        p.idleFrac = 0.02;
+                        p.idleNs = 700;
+                        p.seed = 3;
+                    }),
+                    0xe43dcdc64f15d052ull},
+        // A fence every 7 writes seals every open group.
+        LsqPinParam{"fence_every_7", plan([](LsqPlan &p) {
+                        p.blocks = 128;
+                        p.writes = 4000;
+                        p.gapNs = 5;
+                        p.fenceEvery = 7;
+                        p.seed = 4;
+                    }),
+                    0xf1c26fe2d2105c3dull},
+        // Combining off: every group is ready the moment it opens.
+        LsqPinParam{"epoch_0", plan([](LsqPlan &p) {
+                        p.blocks = 96;
+                        p.writes = 4000;
+                        p.gapNs = 3;
+                        p.readFrac = 0.1;
+                        p.epochNs = 0;
+                        p.seed = 5;
+                    }),
+                    0x5b21bf0cf2727b70ull}),
+    [](const ::testing::TestParamInfo<LsqPinParam> &info) {
+        return std::string(info.param.name);
+    });
+
 // ---- iMC -------------------------------------------------------------
 
 TEST(Imc, WpqMergeIsFast)
@@ -536,6 +831,36 @@ TEST(ShardedConfigDeathTest, RejectsInterleaveBeyondCapacity)
     cfg.interleaved = true;
     cfg.interleaveBytes = cfg.dimmCapacity * 2;
     EXPECT_DEATH(cfg.validate(), "exceeds");
+}
+
+TEST(LsqConfigDeathTest, RejectsRmwLineBeyondPresentMask)
+{
+    nvram::NvramConfig cfg = smallConfig();
+    cfg.rmwLineBytes = 1024;
+    EXPECT_DEATH(cfg.validate(), "rmw_line_bytes");
+    // The assembled system validates before any LSQ exists.
+    EXPECT_DEATH(test::VansFixture f(cfg), "rmw_line_bytes");
+}
+
+TEST(LsqConfigDeathTest, RejectsRmwLineBelowCacheLine)
+{
+    nvram::NvramConfig cfg = smallConfig();
+    cfg.rmwLineBytes = 32;
+    EXPECT_DEATH(cfg.validate(), "rmw_line_bytes");
+}
+
+TEST(LsqConfigDeathTest, RejectsNonPowerOfTwoRmwLine)
+{
+    Config raw = Config::fromString("[nvram]\n"
+                                    "rmw_line_bytes = 384\n");
+    EXPECT_DEATH(nvram::NvramConfig::fromConfig(raw), "power of two");
+}
+
+TEST(LsqConfigDeathTest, RejectsEmptyLsq)
+{
+    Config raw = Config::fromString("[nvram]\n"
+                                    "lsq_entries = 0\n");
+    EXPECT_DEATH(nvram::NvramConfig::fromConfig(raw), "lsq_entries");
 }
 
 TEST(ShardedConfigDeathTest, RejectsAddressBeyondSocket)
