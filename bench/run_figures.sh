@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Regenerate every paper figure and table: run each bench binary once,
-# in turn, and write BENCH_figures.json with its wall time and shape
-# checks passed/total. The total wall time is the "figure clock", the
-# end-to-end cost of reproducing the paper.
+# in turn, and write BENCH_figures.json with its wall time, peak RSS
+# (the child's ru_maxrss) and shape checks passed/total. The total wall
+# time is the "figure clock", the end-to-end cost of reproducing the
+# paper.
 #
 # Usage: bench/run_figures.sh [build-dir] [out-json]
 #
@@ -33,17 +34,23 @@ shape = re.compile(r"^shape checks: (\d+)/(\d+) passed$", re.M)
 rows, ok = [], True
 for name in names:
     t0 = time.monotonic()
-    proc = subprocess.run([os.path.join(bench_dir, name)],
-                          stdout=subprocess.PIPE, text=True)
+    proc = subprocess.Popen([os.path.join(bench_dir, name)],
+                            stdout=subprocess.PIPE, text=True)
+    stdout = proc.stdout.read()
+    proc.stdout.close()
+    # Reap the child ourselves: wait4 also returns its rusage.
+    _, status, usage = os.wait4(proc.pid, 0)
     wall = time.monotonic() - t0
-    m = shape.search(proc.stdout)
+    proc.returncode = code = os.waitstatus_to_exitcode(status)
+    rss_mb = usage.ru_maxrss / 1024  # Linux reports KiB.
+    m = shape.search(stdout)
     passed, total = (int(m.group(1)), int(m.group(2))) if m else (0, 0)
-    good = proc.returncode == 0 and m is not None and passed == total
+    good = code == 0 and m is not None and passed == total
     ok = ok and good
     rows.append({"name": name, "wall_s": round(wall, 3),
-                 "exit_code": proc.returncode,
+                 "peak_rss_mb": round(rss_mb, 1), "exit_code": code,
                  "checks_passed": passed, "checks_total": total})
-    print(f"{name:34s} {wall:7.2f} s  {passed}/{total}"
+    print(f"{name:34s} {wall:7.2f} s {rss_mb:8.1f} MB  {passed}/{total}"
           f"{'' if good else '  FAIL'}", flush=True)
 
 report = {

@@ -1,6 +1,7 @@
 #include "cache/cache.hh"
 
-#include <iterator>
+#include <algorithm>
+#include <span>
 
 #include "common/logging.hh"
 
@@ -8,20 +9,26 @@ namespace vans::cache
 {
 
 Cache::Cache(const CacheParams &params)
-    : p(params), statGroup(params.name)
+    : p(params),
+      statGroup(params.name),
+      hits(&statGroup.scalar("hits")),
+      misses(&statGroup.scalar("misses")),
+      writebacks(&statGroup.scalar("writebacks"))
 {
-    std::uint64_t lines = p.sizeBytes / p.lineBytes;
-    if (lines % p.ways != 0)
+    if (p.ways == 0 || p.ways > 1u << 16)
+        fatal("cache %s: ways must be in [1, 65536]", p.name.c_str());
+    std::uint64_t num_lines = p.sizeBytes / p.lineBytes;
+    if (num_lines % p.ways != 0)
         fatal("cache %s: size/ways mismatch", p.name.c_str());
-    numSets = static_cast<unsigned>(lines / p.ways);
+    numSets = static_cast<unsigned>(num_lines / p.ways);
     if (!isPowerOf2(numSets))
         fatal("cache %s: set count must be a power of two",
               p.name.c_str());
-    sets.resize(numSets);
-    for (auto &s : sets) {
-        s.lines.resize(p.ways);
+    lines.resize(num_lines);
+    lruOrder.resize(num_lines);
+    for (std::uint64_t base = 0; base < num_lines; base += p.ways) {
         for (unsigned w = 0; w < p.ways; ++w)
-            s.lruOrder.push_back(w);
+            lruOrder[base + w] = static_cast<std::uint16_t>(w);
     }
 }
 
@@ -41,56 +48,57 @@ CacheAccessResult
 Cache::access(Addr addr, bool write)
 {
     CacheAccessResult res;
-    Set &set = sets[setIndex(addr)];
+    std::uint64_t base = setIndex(addr) * p.ways;
+    Line *set = &lines[base];
+    std::uint16_t *order = &lruOrder[base];
     Addr tag = tagOf(addr);
+    // Move the way at recency position @p i to the MRU position.
+    auto promote = [order](unsigned i) {
+        std::rotate(order, order + i, order + i + 1);
+    };
 
-    for (auto it = set.lruOrder.begin(); it != set.lruOrder.end();
-         ++it) {
-        Line &l = set.lines[*it];
+    for (unsigned i = 0; i < p.ways; ++i) {
+        Line &l = set[order[i]];
         if (l.valid && l.tag == tag) {
             res.hit = true;
             l.dirty = l.dirty || write;
-            set.lruOrder.splice(set.lruOrder.begin(), set.lruOrder,
-                                it);
-            statGroup.scalar("hits").inc();
+            promote(i);
+            hits->inc();
             return res;
         }
     }
 
-    statGroup.scalar("misses").inc();
+    misses->inc();
     // Fill into an invalid way when one exists (a clflushopt'd line
     // leaves a free slot behind); only a full set evicts the LRU way.
-    auto victim_it = std::prev(set.lruOrder.end());
-    for (auto it = set.lruOrder.begin(); it != set.lruOrder.end();
-         ++it) {
-        if (!set.lines[*it].valid) {
-            victim_it = it;
+    unsigned pos = p.ways - 1;
+    for (unsigned i = 0; i < p.ways; ++i) {
+        if (!set[order[i]].valid) {
+            pos = i;
             break;
         }
     }
-    unsigned victim = *victim_it;
-    set.lruOrder.erase(victim_it);
-    Line &l = set.lines[victim];
+    Line &l = set[order[pos]];
     if (l.valid && l.dirty) {
         res.writeback = true;
         // Reconstruct the victim address.
         res.writebackAddr =
             ((l.tag << log2i(numSets)) | setIndex(addr)) * p.lineBytes;
-        statGroup.scalar("writebacks").inc();
+        writebacks->inc();
     }
     l.valid = true;
     l.dirty = write;
     l.tag = tag;
-    set.lruOrder.push_front(victim);
+    promote(pos);
     return res;
 }
 
 bool
 Cache::contains(Addr addr) const
 {
-    const Set &set = sets[setIndex(addr)];
+    const Line *set = &lines[setIndex(addr) * p.ways];
     Addr tag = tagOf(addr);
-    for (const Line &l : set.lines) {
+    for (const Line &l : std::span(set, p.ways)) {
         if (l.valid && l.tag == tag)
             return true;
     }
@@ -100,9 +108,9 @@ Cache::contains(Addr addr) const
 bool
 Cache::invalidate(Addr addr)
 {
-    Set &set = sets[setIndex(addr)];
+    Line *set = &lines[setIndex(addr) * p.ways];
     Addr tag = tagOf(addr);
-    for (Line &l : set.lines) {
+    for (Line &l : std::span(set, p.ways)) {
         if (l.valid && l.tag == tag) {
             bool was_dirty = l.dirty;
             l.valid = false;
@@ -116,9 +124,9 @@ Cache::invalidate(Addr addr)
 bool
 Cache::clean(Addr addr)
 {
-    Set &set = sets[setIndex(addr)];
+    Line *set = &lines[setIndex(addr) * p.ways];
     Addr tag = tagOf(addr);
-    for (Line &l : set.lines) {
+    for (Line &l : std::span(set, p.ways)) {
         if (l.valid && l.tag == tag && l.dirty) {
             l.dirty = false;
             return true;
@@ -130,8 +138,8 @@ Cache::clean(Addr addr)
 double
 Cache::missRate() const
 {
-    double h = static_cast<double>(statGroup.scalarValue("hits"));
-    double m = static_cast<double>(statGroup.scalarValue("misses"));
+    double h = static_cast<double>(hits->value());
+    double m = static_cast<double>(misses->value());
     return (h + m) > 0 ? m / (h + m) : 0;
 }
 

@@ -16,9 +16,7 @@
 #define VANS_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
@@ -50,6 +48,9 @@ class Cache
 {
   public:
     explicit Cache(const CacheParams &params);
+    // The cached stat pointers point into this object's own group.
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
 
     /**
      * Access @p addr; on miss the line is filled (possibly evicting
@@ -81,19 +82,22 @@ class Cache
         bool dirty = false;
     };
 
-    struct Set
-    {
-        std::vector<Line> lines;
-        std::list<unsigned> lruOrder; ///< Front = most recent way.
-    };
-
     std::uint64_t setIndex(Addr addr) const;
     Addr tagOf(Addr addr) const;
 
     CacheParams p;
     unsigned numSets;
-    std::vector<Set> sets;
+    /** Set s owns lines[s * ways, (s + 1) * ways), by way. */
+    std::vector<Line> lines;
+    /** Set s's ways, most recent first: lruOrder[s * ways] is its
+     *  MRU way and lruOrder[(s + 1) * ways - 1] its LRU way. */
+    std::vector<std::uint16_t> lruOrder;
     StatGroup statGroup;
+    /** Resolved once: a by-name lookup per access costs a
+     *  std::map<std::string> walk. */
+    StatScalar *hits;
+    StatScalar *misses;
+    StatScalar *writebacks;
 };
 
 } // namespace vans::cache

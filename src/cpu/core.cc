@@ -32,6 +32,19 @@ CpuCore::issueRead(Addr addr, bool pre_translate)
 {
     auto pending = std::make_shared<Pending>();
     syncTo(coreTime);
+    RequestHandle h = makeRead(addr, pre_translate, pending);
+    Request &req = mem.request(h);
+    if (!loadFilter || loadFilter(req))
+        mem.issue(h);
+    else
+        req.complete(eq.curTick()); // Absorbed by an optimization.
+    return pending;
+}
+
+RequestHandle
+CpuCore::makeRead(Addr addr, bool pre_translate,
+                  const std::shared_ptr<Pending> &pending)
+{
     RequestHandle h = mem.makeRequest(addr, MemOp::Read);
     Request &req = mem.request(h);
     req.preTranslate = pre_translate;
@@ -40,11 +53,7 @@ CpuCore::issueRead(Addr addr, bool pre_translate)
         pending->at = r.completeTick;
         p->release(h);
     };
-    if (!loadFilter || loadFilter(req))
-        mem.issue(h);
-    else
-        req.complete(eq.curTick()); // Absorbed by an optimization.
-    return pending;
+    return h;
 }
 
 std::shared_ptr<CpuCore::Pending>
@@ -54,31 +63,24 @@ CpuCore::issueReadAfter(const std::shared_ptr<Pending> &after,
     if (!after || after->done)
         return issueRead(addr, pre_translate);
     auto pending = std::make_shared<Pending>();
-    // Chaining by polling: a watcher event re-checks the
-    // prerequisite's completion flag every 5 ns and issues the read
-    // once it is set. The watcher captures its own shared_ptr so it
-    // can re-arm; the running copy clears the shared closure when
-    // it issues, which breaks that cycle and frees the watcher,
-    // after and pending.
-    auto watcher = std::make_shared<std::function<void()>>();
-    *watcher = [this, after, addr, pre_translate, pending, watcher] {
-        if (!after->done) {
-            eq.scheduleAfter(nsToTicks(5), *watcher);
+    // Chaining by polling: re-check the prerequisite's completion
+    // flag every 5 ns and issue the read once it is set. Each poll
+    // captures only the pointer to the shared watcher state.
+    pollAfter(std::make_shared<ChainedRead>(
+        ChainedRead{after, pending, addr, pre_translate}));
+    return pending;
+}
+
+void
+CpuCore::pollAfter(std::shared_ptr<ChainedRead> c)
+{
+    eq.scheduleAfter(nsToTicks(5), [this, c = std::move(c)]() mutable {
+        if (!c->after->done) {
+            pollAfter(std::move(c));
             return;
         }
-        *watcher = nullptr;
-        RequestHandle h = mem.makeRequest(addr, MemOp::Read);
-        Request &req = mem.request(h);
-        req.preTranslate = pre_translate;
-        req.onComplete = [pending, p = &mem.pool(), h](Request &r) {
-            pending->done = true;
-            pending->at = r.completeTick;
-            p->release(h);
-        };
-        mem.issue(h);
-    };
-    eq.scheduleAfter(nsToTicks(5), *watcher);
-    return pending;
+        mem.issue(makeRead(c->addr, c->preTranslate, c->pending));
+    });
 }
 
 void

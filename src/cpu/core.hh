@@ -94,6 +94,10 @@ class CpuCore
     };
     std::shared_ptr<Pending> issueRead(Addr addr, bool pre_translate);
 
+    /** Build a read of @p addr whose completion fills @p pending. */
+    RequestHandle makeRead(Addr addr, bool pre_translate,
+                           const std::shared_ptr<Pending> &pending);
+
     /**
      * Issue a read that must wait for @p after (a page-walk PTE
      * fetch) before going to memory: the translation gates *this*
@@ -102,6 +106,17 @@ class CpuCore
     std::shared_ptr<Pending>
     issueReadAfter(const std::shared_ptr<Pending> &after, Addr addr,
                    bool pre_translate);
+
+    /** A read waiting on its prerequisite, shared by its polls. */
+    struct ChainedRead
+    {
+        std::shared_ptr<Pending> after;
+        std::shared_ptr<Pending> pending;
+        Addr addr;
+        bool preTranslate;
+    };
+    /** Arm the next 5 ns poll of @p c. */
+    void pollAfter(std::shared_ptr<ChainedRead> c);
 
     void issueWrite(Addr addr, MemOp op);
 

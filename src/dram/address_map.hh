@@ -35,6 +35,8 @@ struct DramCoord
         return rank == o.rank && bankGroup == o.bankGroup &&
                bank == o.bank;
     }
+
+    bool operator==(const DramCoord &) const = default;
 };
 
 /** Address-mapping policy. */

@@ -113,6 +113,7 @@ DramController::allocParent(unsigned remaining, DoneCallback done)
     }
     Parent &p = parents[idx];
     p.remaining = remaining;
+    p.latestEnd = 0;
     p.done = std::move(done);
     return idx;
 }
@@ -132,20 +133,34 @@ DramController::access(Addr addr, bool write, std::uint32_t size,
     if (lines == 0)
         lines = 1;
 
-    // One recycled fan-in slot per access, shared by its line splits.
+    // One recycled fan-in slot per access, shared by its runs.
     std::uint32_t parent = allocParent(lines, std::move(done));
 
+    // One entry per run of the access's consecutive lines in one bank
+    // row: a line that continues the previous line's run extends it.
+    FifoRing<LineReq> &q = write ? writeQueue : readQueue;
     Addr base = alignDown(addr, cacheLineSize);
     for (unsigned i = 0; i < lines; ++i) {
+        Addr a = base + static_cast<Addr>(i) * cacheLineSize;
+        DramCoord c = map.decode(a);
+        if (i > 0) {
+            LineReq &run = q.at(q.size() - 1);
+            if (c.sameBank(run.coord) && c.row == run.coord.row &&
+                c.column == run.coord.column + run.lines) {
+                ++run.lines;
+                continue;
+            }
+        }
         LineReq r;
-        r.addr = base + static_cast<Addr>(i) * cacheLineSize;
-        r.coord = map.decode(r.addr);
+        r.addr = a;
+        r.coord = c;
         r.write = write;
         r.enqueueTick = eventq.curTick();
-        r.seq = nextSeq++;
+        r.seq = nextSeq + i;
         r.parentIdx = parent;
-        (write ? writeQueue : readQueue).push_back(r);
+        q.push_back(r);
     }
+    nextSeq += lines;
     (write ? st.writeAccesses : st.readAccesses)->inc();
     (write ? st.bytesWritten : st.bytesRead)->inc(size);
     scheduleWakeup(eventq.curTick());
@@ -278,27 +293,48 @@ DramController::issueCas(const LineReq &r)
                      r.coord.rank, r.coord.bankGroup, r.coord.bank,
                      r.coord.row, r.coord.column});
 
+    // Only the access's last CAS schedules its completion: commands
+    // issue at strictly increasing ticks and all its lines share one
+    // latency, so that CAS also has the latest data_end.
     std::uint32_t pi = r.parentIdx;
+    Parent &pa = parents[pi];
+    pa.latestEnd = std::max(pa.latestEnd, data_end);
+    if (--pa.remaining != 0)
+        return;
+    VANS_AUDIT("dram", now, data_end == pa.latestEnd,
+               "access completes at %llu before its latest line %llu",
+               static_cast<unsigned long long>(data_end),
+               static_cast<unsigned long long>(pa.latestEnd));
     Tick enq = r.enqueueTick;
     bool write = r.write;
     eventq.schedule(data_end, [this, pi, data_end, enq, write] {
-        Parent &pa = parents[pi];
-        if (--pa.remaining == 0) {
-            (write ? st.writeLatency : st.readLatency)
-                ->sample(ticksToNs(data_end - enq));
-            if (tracer) [[unlikely]] {
-                tracer->span(traceTrack, write ? lblWrite : lblRead,
-                             enq, data_end);
-            }
-            // Move the callback out and recycle the slot first: the
-            // callback may re-enter access(), and slab growth there
-            // would invalidate pa.
-            DoneCallback done = std::move(pa.done);
-            releaseParent(pi);
-            if (done)
-                done(data_end);
+        (write ? st.writeLatency : st.readLatency)
+            ->sample(ticksToNs(data_end - enq));
+        if (tracer) [[unlikely]] {
+            tracer->span(traceTrack, write ? lblWrite : lblRead, enq,
+                         data_end);
         }
+        // Move the callback out and recycle the slot first: the
+        // callback may re-enter access(), and slab growth there would
+        // invalidate the parent.
+        DoneCallback done = std::move(parents[pi].done);
+        releaseParent(pi);
+        if (done)
+            done(data_end);
     });
+}
+
+void
+DramController::advanceRun(LineReq &r)
+{
+    --r.lines;
+    r.addr += cacheLineSize;
+    ++r.coord.column;
+    ++r.seq;
+    r.classified = false;
+    VANS_AUDIT("dram", eventq.curTick(), map.decode(r.addr) == r.coord,
+               "run line 0x%llx leaves its bank row",
+               static_cast<unsigned long long>(r.addr));
 }
 
 void
@@ -371,10 +407,15 @@ DramController::classIssue(const LineReq &r)
 std::size_t
 DramController::pick(const ScanTarget &t, Tick now)
 {
+    // The window counts lines; a run is in it when its front line is.
+    // Every line of a run shares the run's answer, so the front line
+    // stands for all of them.
     std::size_t best = npos;
-    std::size_t limit = std::min<std::size_t>(t.queue->size(), t.window);
-    for (std::size_t i = 0; i < limit; ++i) {
+    std::size_t line = 0;
+    for (std::size_t i = 0; i < t.queue->size() && line < t.window;
+         ++i) {
         const LineReq &r = t.queue->at(i);
+        line += r.lines;
         if (classIssue(r) > now)
             continue;
         const BankState &b = banks[bankIndex(r.coord)];
@@ -390,9 +431,13 @@ Tick
 DramController::wakeAt(const ScanTarget &t, Tick floor)
 {
     Tick best = never;
-    std::size_t limit = std::min<std::size_t>(t.queue->size(), t.window);
-    for (std::size_t i = 0; i < limit && best > floor; ++i)
-        best = std::min(best, classIssue(t.queue->at(i)));
+    std::size_t line = 0;
+    for (std::size_t i = 0;
+         i < t.queue->size() && line < t.window && best > floor; ++i) {
+        const LineReq &r = t.queue->at(i);
+        line += r.lines;
+        best = std::min(best, classIssue(r));
+    }
     return std::max(best, floor);
 }
 
@@ -458,8 +503,13 @@ DramController::process()
         scheduleWakeup(wakeAt(target, now + 1));
         return;
     }
-    if (issueFor(target.queue->at(chosen)))
-        target.queue->eraseAt(chosen);
+    LineReq &r = target.queue->at(chosen);
+    if (issueFor(r)) {
+        if (r.lines == 1)
+            target.queue->eraseAt(chosen);
+        else
+            advanceRun(r);
+    }
     armAfterCommand(now);
 }
 
@@ -468,7 +518,7 @@ DramController::snapshotTo(snapshot::StateSink &sink) const
 {
     VANS_REQUIRE("dram", eventq.curTick(),
                  readQueue.empty() && writeQueue.empty(),
-                 "snapshot with %zu line requests queued",
+                 "snapshot with %zu runs queued",
                  readQueue.size() + writeQueue.size());
     sink.tag("dram-ctrl");
     sink.str(statGroup.name());
@@ -571,8 +621,8 @@ DramController::restoreFrom(snapshot::StateSource &src)
 bool
 DramController::issueFor(LineReq &r)
 {
-    // Hit/miss/conflict classification happens once per line
-    // request, at its first service attempt.
+    // Hit/miss/conflict classification happens once per line, at its
+    // first service attempt.
     BankState &b = banks[bankIndex(r.coord)];
     if (b.open && b.row == r.coord.row) {
         if (!r.classified)

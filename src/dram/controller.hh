@@ -8,7 +8,9 @@
  * /REF commands respecting the full JEDEC constraint set (tRCD, tRP,
  * tRAS, tRC, tCCD_S/L, tRRD_S/L, tFAW, tWR, tWTR_S/L, tRTP, tRFC,
  * tREFI). An access completes when the last data beat of its last
- * burst leaves (read) or enters (write) the device.
+ * burst leaves (read) or enters (write) the device. One queue entry
+ * holds a run of an access's consecutive lines in one bank row (see
+ * DESIGN.md "DRAM run-length queue").
  *
  * The same controller class serves three masters in this repo: the
  * DDR4 main memory of the baseline systems, the small on-DIMM DRAM
@@ -70,7 +72,8 @@ class DramController
     void access(Addr addr, bool write, std::uint32_t size,
                 DoneCallback done);
 
-    /** Number of queued (incomplete) line transactions. */
+    /** Number of queued runs; zero exactly when no line is waiting
+     *  for its CAS (data of issued lines may still be in flight). */
     std::size_t
     queueDepth() const
     {
@@ -122,22 +125,30 @@ class DramController
     // empty, so none can be live at capture)
     struct Parent
     {
-        unsigned remaining;
+        unsigned remaining;  ///< Lines still waiting for their CAS.
+        Tick latestEnd = 0;  ///< Largest data_end issued so far.
         DoneCallback done;
     };
 
     // simlint-transient(LineReq entries live in readQueue/writeQueue,
     // which snapshotTo REQUIREs empty -- in-flight requests are never
     // part of a captured world)
+    /**
+     * A run of @c lines consecutive lines of one access that share
+     * rank, bank group, bank and row. The other fields describe the
+     * front line, the next to issue; its CAS advances them by one
+     * line (advanceRun).
+     */
     struct LineReq
     {
         DramCoord coord;
         Addr addr;
-        bool write;
         Tick enqueueTick;
-        std::uint64_t seq = 0;   ///< Arrival order (FCFS).
-        bool classified = false; ///< Hit/miss stat recorded.
+        std::uint64_t seq = 0;       ///< Arrival order (FCFS).
         std::uint32_t parentIdx = 0; ///< Fan-in slot in parents.
+        std::uint32_t lines = 1;     ///< Lines left in the run.
+        bool write;
+        bool classified = false; ///< Hit/miss stat recorded.
     };
 
     struct BankState
@@ -182,7 +193,7 @@ class DramController
     struct ScanTarget
     {
         FifoRing<LineReq> *queue;
-        unsigned window;
+        unsigned window; ///< In lines, not runs.
     };
     ScanTarget scanTarget();
 
@@ -202,9 +213,11 @@ class DramController
      *  scanning at the first request that can issue by @p floor. */
     Tick wakeAt(const ScanTarget &t, Tick floor);
 
-    /** Issue the next required command for @p r at the current tick.
-     *  @return true if @p r received its CAS (data scheduled). */
+    /** Issue the next required command for @p r's front line at the
+     *  current tick. @return true if that line received its CAS. */
     bool issueFor(LineReq &r);
+    /** Drop @p r's front line after its CAS: the next line leads. */
+    void advanceRun(LineReq &r);
 
     void issueAct(const DramCoord &c);
     void issuePre(const DramCoord &c);
@@ -231,7 +244,8 @@ class DramController
     std::vector<BankState> banks;
     /** Reads and writes queue separately: reads have strict
      *  priority (writes are posted), and the write scan is bounded
-     *  to a scheduler window to keep per-command cost constant.
+     *  to a scheduler window, counted in lines, to keep per-command
+     *  cost constant.
      *  Ring-buffered, index-addressed: the windowed scan stays
      *  contiguous in practice, the scheduler erase shifts only the
      *  scan-window prefix (a sustained read stream legitimately
@@ -241,8 +255,8 @@ class DramController
     FifoRing<LineReq> readQueue;
     FifoRing<LineReq> writeQueue;
     /**
-     * Recycled fan-in nodes, one per in-flight access (all its line
-     * splits share the slot). Index-addressed so slab growth never
+     * Recycled fan-in nodes, one per in-flight access (all its runs
+     * share the slot). Index-addressed so slab growth never
      * invalidates a reference held by a scheduled data event.
      */
     // simlint-transient(fan-in slots only carry in-flight accesses,

@@ -1,5 +1,7 @@
 #include "nvram/nvram_config.hh"
 
+#include <set>
+
 #include "common/logging.hh"
 
 namespace vans::nvram
@@ -77,64 +79,75 @@ NvramConfig::fromConfig(const Config &cfg)
 {
     NvramConfig c;
     const std::string s = "nvram";
-    std::string mode = cfg.get(s, "mode", "app_direct");
+    // Every [nvram] read goes through these readers, which record the
+    // key: a key none of them asked for is a typo or a stale option,
+    // and must not quietly leave its default in place.
+    std::set<std::string> known;
+    auto str = [&](const char *key, const char *def) {
+        known.insert(key);
+        return cfg.get(s, key, def);
+    };
+    auto u64 = [&](const char *key, std::uint64_t def) {
+        known.insert(key);
+        return cfg.getU64(s, key, def);
+    };
+    auto u32 = [&](const char *key, std::uint32_t def) {
+        return static_cast<std::uint32_t>(u64(key, def));
+    };
+    auto dbl = [&](const char *key, double def) {
+        known.insert(key);
+        return cfg.getDouble(s, key, def);
+    };
+    auto flag = [&](const char *key, bool def) {
+        known.insert(key);
+        return cfg.getBool(s, key, def);
+    };
+
+    std::string mode = str("mode", "app_direct");
     if (mode == "memory") {
         c.mode = SystemMode::Memory;
     } else if (mode != "app_direct" && mode != "appdirect") {
         fatal("[nvram] mode must be app_direct or memory (got %s)",
               mode.c_str());
     }
-    c.dcacheCapacity =
-        cfg.getU64(s, "dcache_capacity", c.dcacheCapacity);
-    c.numDimms = static_cast<unsigned>(
-        cfg.getU64(s, "num_dimms", c.numDimms));
-    c.interleaved = cfg.getBool(s, "interleaved", c.interleaved);
-    c.interleaveBytes =
-        cfg.getU64(s, "interleave_bytes", c.interleaveBytes);
-    c.dimmCapacity = cfg.getU64(s, "dimm_capacity", c.dimmCapacity);
-    c.wpqEntries = static_cast<unsigned>(
-        cfg.getU64(s, "wpq_entries", c.wpqEntries));
-    c.rpqEntries = static_cast<unsigned>(
-        cfg.getU64(s, "rpq_entries", c.rpqEntries));
-    c.coreToImcNs = cfg.getDouble(s, "core_to_imc_ns", c.coreToImcNs);
-    c.busCmdNs = cfg.getDouble(s, "bus_cmd_ns", c.busCmdNs);
-    c.busDataPer64bNs =
-        cfg.getDouble(s, "bus_data_per_64b_ns", c.busDataPer64bNs);
-    c.busTurnaroundNs =
-        cfg.getDouble(s, "bus_turnaround_ns", c.busTurnaroundNs);
-    c.wpqGrantNs = cfg.getDouble(s, "wpq_grant_ns", c.wpqGrantNs);
-    c.lsqEntries = static_cast<unsigned>(
-        cfg.getU64(s, "lsq_entries", c.lsqEntries));
-    c.lsqProbeNs = cfg.getDouble(s, "lsq_probe_ns", c.lsqProbeNs);
-    c.lsqEpochNs = cfg.getDouble(s, "lsq_epoch_ns", c.lsqEpochNs);
-    c.rmwEntries = static_cast<unsigned>(
-        cfg.getU64(s, "rmw_entries", c.rmwEntries));
-    c.rmwLineBytes = static_cast<std::uint32_t>(
-        cfg.getU64(s, "rmw_line_bytes", c.rmwLineBytes));
-    c.rmwAccessNs = cfg.getDouble(s, "rmw_access_ns", c.rmwAccessNs);
-    c.aitBufEntries = static_cast<unsigned>(
-        cfg.getU64(s, "ait_buf_entries", c.aitBufEntries));
-    c.aitLineBytes = static_cast<std::uint32_t>(
-        cfg.getU64(s, "ait_line_bytes", c.aitLineBytes));
-    c.aitTagNs = cfg.getDouble(s, "ait_tag_ns", c.aitTagNs);
-    c.mediaChunkBytes = static_cast<std::uint32_t>(
-        cfg.getU64(s, "media_chunk_bytes", c.mediaChunkBytes));
-    c.mediaPartitions = static_cast<unsigned>(
-        cfg.getU64(s, "media_partitions", c.mediaPartitions));
-    c.mediaReadNs = cfg.getDouble(s, "media_read_ns", c.mediaReadNs);
-    c.mediaWriteNs = cfg.getDouble(s, "media_write_ns", c.mediaWriteNs);
-    c.wearBlockBytes =
-        cfg.getU64(s, "wear_block_bytes", c.wearBlockBytes);
-    c.wearThreshold = cfg.getU64(s, "wear_threshold", c.wearThreshold);
-    c.migrationUs = cfg.getDouble(s, "migration_us", c.migrationUs);
-    c.dimmCtrlNs = cfg.getDouble(s, "dimm_ctrl_ns", c.dimmCtrlNs);
-    c.clwbExtraNs = cfg.getDouble(s, "clwb_extra_ns", c.clwbExtraNs);
-    c.wcBufferBytes = static_cast<std::uint32_t>(
-        cfg.getU64(s, "wc_buffer_bytes", c.wcBufferBytes));
-    c.wcPartialDrainNs =
-        cfg.getDouble(s, "wc_partial_drain_ns", c.wcPartialDrainNs);
-    c.verify = cfg.getBool(s, "verify", c.verify);
+    c.dcacheCapacity = u64("dcache_capacity", c.dcacheCapacity);
+    c.numDimms = u32("num_dimms", c.numDimms);
+    c.interleaved = flag("interleaved", c.interleaved);
+    c.interleaveBytes = u64("interleave_bytes", c.interleaveBytes);
+    c.dimmCapacity = u64("dimm_capacity", c.dimmCapacity);
+    c.wpqEntries = u32("wpq_entries", c.wpqEntries);
+    c.rpqEntries = u32("rpq_entries", c.rpqEntries);
+    c.coreToImcNs = dbl("core_to_imc_ns", c.coreToImcNs);
+    c.busCmdNs = dbl("bus_cmd_ns", c.busCmdNs);
+    c.busDataPer64bNs = dbl("bus_data_per_64b_ns", c.busDataPer64bNs);
+    c.busTurnaroundNs = dbl("bus_turnaround_ns", c.busTurnaroundNs);
+    c.wpqGrantNs = dbl("wpq_grant_ns", c.wpqGrantNs);
+    c.lsqEntries = u32("lsq_entries", c.lsqEntries);
+    c.lsqProbeNs = dbl("lsq_probe_ns", c.lsqProbeNs);
+    c.lsqEpochNs = dbl("lsq_epoch_ns", c.lsqEpochNs);
+    c.rmwEntries = u32("rmw_entries", c.rmwEntries);
+    c.rmwLineBytes = u32("rmw_line_bytes", c.rmwLineBytes);
+    c.rmwAccessNs = dbl("rmw_access_ns", c.rmwAccessNs);
+    c.aitBufEntries = u32("ait_buf_entries", c.aitBufEntries);
+    c.aitLineBytes = u32("ait_line_bytes", c.aitLineBytes);
+    c.aitTagNs = dbl("ait_tag_ns", c.aitTagNs);
+    c.mediaChunkBytes = u32("media_chunk_bytes", c.mediaChunkBytes);
+    c.mediaPartitions = u32("media_partitions", c.mediaPartitions);
+    c.mediaReadNs = dbl("media_read_ns", c.mediaReadNs);
+    c.mediaWriteNs = dbl("media_write_ns", c.mediaWriteNs);
+    c.wearBlockBytes = u64("wear_block_bytes", c.wearBlockBytes);
+    c.wearThreshold = u64("wear_threshold", c.wearThreshold);
+    c.migrationUs = dbl("migration_us", c.migrationUs);
+    c.dimmCtrlNs = dbl("dimm_ctrl_ns", c.dimmCtrlNs);
+    c.clwbExtraNs = dbl("clwb_extra_ns", c.clwbExtraNs);
+    c.wcBufferBytes = u32("wc_buffer_bytes", c.wcBufferBytes);
+    c.wcPartialDrainNs = dbl("wc_partial_drain_ns", c.wcPartialDrainNs);
+    c.verify = flag("verify", c.verify);
     c.trace = cfg.getBool("trace", "enable", c.trace);
+    for (const std::string &key : cfg.keys(s)) {
+        if (!known.count(key))
+            fatal("[nvram] unknown key '%s'", key.c_str());
+    }
     // Reject malformed topologies at parse time, before any world is
     // built from this configuration.
     c.validate();

@@ -4,6 +4,9 @@
  * workload generators.
  */
 
+#include <algorithm>
+#include <list>
+
 #include <gtest/gtest.h>
 
 #include "baselines/dram_system.hh"
@@ -94,6 +97,68 @@ TEST(Cache, FillPrefersInvalidatedWayOverLruVictim)
     EXPECT_TRUE(c.contains(0));
     EXPECT_TRUE(c.contains(512));
     EXPECT_TRUE(c.access(0, false).hit);
+}
+
+// Lockstep against a list-per-set reference: recency order MRU to
+// LRU, hits promote, a fill takes the first invalid way in recency
+// order, else the LRU way. Every access, writeback, clean and
+// invalidate result must agree op for op.
+TEST(Cache, LockstepWithListLruReference)
+{
+    struct RefLine
+    {
+        Addr line;
+        bool valid;
+        bool dirty;
+    };
+    constexpr unsigned sets = 8, ways = 4;
+    Cache c(CacheParams{"c", sets * ways * 64, ways, 64, 1.0});
+    std::vector<std::list<RefLine>> ref(sets);
+    for (auto &set : ref)
+        set.assign(ways, RefLine{0, false, false});
+    auto find = [&](Addr line) {
+        auto &set = ref[line % sets];
+        return std::find_if(set.begin(), set.end(), [&](const RefLine &l) {
+            return l.valid && l.line == line;
+        });
+    };
+
+    Rng rng(97);
+    for (int op = 0; op < 20000; ++op) {
+        Addr line = rng.below(sets * ways * 3);
+        auto &set = ref[line % sets];
+        auto it = find(line);
+        double kind = rng.uniform();
+        if (kind < 0.8) {
+            bool write = rng.uniform() < 0.4;
+            CacheAccessResult got = c.access(line * 64, write);
+            ASSERT_EQ(got.hit, it != set.end()) << "op " << op;
+            if (it == set.end()) {
+                it = std::find_if(set.begin(), set.end(),
+                                  [](const RefLine &l) { return !l.valid; });
+                if (it == set.end())
+                    it = std::prev(set.end());
+                bool wb = it->valid && it->dirty;
+                ASSERT_EQ(got.writeback, wb) << "op " << op;
+                if (wb) {
+                    ASSERT_EQ(got.writebackAddr, it->line * 64);
+                }
+                *it = RefLine{line, true, false};
+            }
+            it->dirty = it->dirty || write;
+            set.splice(set.begin(), set, it);
+        } else if (kind < 0.9) {
+            bool dirty = it != set.end() && it->dirty;
+            ASSERT_EQ(c.clean(line * 64), dirty) << "op " << op;
+            if (dirty)
+                it->dirty = false;
+        } else {
+            bool dirty = it != set.end() && it->dirty;
+            ASSERT_EQ(c.invalidate(line * 64), dirty) << "op " << op;
+            if (it != set.end())
+                *it = RefLine{0, false, false};
+        }
+    }
 }
 
 // The Empirical Guide's post-flush contract for the two flush ops:

@@ -437,8 +437,9 @@ TEST(Checker, CleanStreamPasses)
 //
 // Each case hashes every emitted DramCommand (tick, kind, coordinates),
 // every access's completion tick and the command/row counters. The
-// hashes were recorded from the per-cycle polling scheduler; any
-// scheduler rewrite must reproduce them bit for bit.
+// hashes were recorded from the per-cycle polling scheduler (the four
+// run-shape cases from the per-line queue that preceded run-length
+// entries); any scheduler rewrite must reproduce them bit for bit.
 
 namespace
 {
@@ -467,9 +468,9 @@ struct PinnedRun
     std::vector<std::pair<std::uint64_t, Tick>> completions;
     std::uint64_t issued = 0;
 
-    PinnedRun(const DramTiming &timing, SchedPolicy policy)
-        : geom(makeGeom()),
-          ctrl(eq, timing, geom, policy, MapScheme::RowBankCol, "pin")
+    PinnedRun(const DramTiming &timing, SchedPolicy policy,
+              MapScheme scheme = MapScheme::RowBankCol)
+        : geom(makeGeom()), ctrl(eq, timing, geom, policy, scheme, "pin")
     {
         ctrl.trace().setEnabled(true);
     }
@@ -531,6 +532,33 @@ sweepHash(const DramTiming &timing, SchedPolicy policy,
     for (unsigned i = 0; i < accesses; ++i) {
         Addr a = rng.below(addr_space / 64) * 64;
         bool w = rng.uniform() < write_frac;
+        run.access(a, w, size);
+    }
+    while (run.completions.size() < accesses && run.eq.step()) {
+    }
+    EXPECT_EQ(run.completions.size(), accesses);
+    return run.hash();
+}
+
+/** One access's address, direction and size. */
+using ShapeDraw = void (*)(Rng &, Addr &, bool &, std::uint32_t &);
+
+/**
+ * Like sweepHash, but each access draws its own shape: the traffic
+ * for the run-length queue pins, whose runs must break and resume
+ * exactly where per-line entries would.
+ */
+std::uint64_t
+shapeHash(SchedPolicy policy, MapScheme scheme, unsigned accesses,
+          std::uint64_t seed, ShapeDraw draw)
+{
+    PinnedRun run(DramTiming::ddr4_2666(), policy, scheme);
+    Rng rng(seed);
+    for (unsigned i = 0; i < accesses; ++i) {
+        Addr a;
+        bool w;
+        std::uint32_t size;
+        draw(rng, a, w, size);
         run.access(a, w, size);
     }
     while (run.completions.size() < accesses && run.eq.step()) {
@@ -689,7 +717,63 @@ INSTANTIATE_TEST_SUITE_P(
                      return longRunHash(DramTiming::pcmLike(),
                                         SchedPolicy::FRFCFS, 37);
                  },
-                 0x6ce677fe141f760bull}),
+                 0x6ce677fe141f760bull},
+        // Runs break every 4 lines, at the col-lo boundary.
+        PinParam{"stripe_4K",
+                 [] {
+                     return shapeHash(
+                         SchedPolicy::FRFCFS, MapScheme::BankStripe,
+                         200, 41,
+                         [](Rng &r, Addr &a, bool &w, std::uint32_t &n) {
+                             a = r.below(1u << 14) * 4096;
+                             w = r.uniform() < 0.3;
+                             n = 4096;
+                         });
+                 },
+                 0xc4188e44784b7b56ull},
+        PinParam{"fcfs_mixed_sizes",
+                 [] {
+                     return shapeHash(
+                         SchedPolicy::FCFS, MapScheme::RowBankCol, 200,
+                         43,
+                         [](Rng &r, Addr &a, bool &w, std::uint32_t &n) {
+                             a = r.below(1u << 20) * 64;
+                             w = r.uniform() < 0.5;
+                             n = r.uniform() < 0.5 ? 64 : 4096;
+                         });
+                 },
+                 0x4367043db0612c2dull},
+        // Runs of 3 to 64 lines, so the 64-line read window and the
+        // 32-line write window end inside a run most of the time.
+        PinParam{"window_cuts",
+                 [] {
+                     return shapeHash(
+                         SchedPolicy::FRFCFS, MapScheme::RowBankCol,
+                         300, 47,
+                         [](Rng &r, Addr &a, bool &w, std::uint32_t &n) {
+                             static constexpr std::uint32_t sizes[] = {
+                                 192, 1472, 2560, 4096};
+                             a = r.below(1u << 16) * 256;
+                             w = r.uniform() < 0.5;
+                             n = sizes[r.below(4)];
+                         });
+                 },
+                 0xa5ae9662143e08ecull},
+        // Unaligned starts a few lines before an 8 KB row ends: each
+        // access splits into two runs in different banks.
+        PinParam{"row_crossing",
+                 [] {
+                     return shapeHash(
+                         SchedPolicy::FRFCFS, MapScheme::RowBankCol,
+                         200, 53,
+                         [](Rng &r, Addr &a, bool &w, std::uint32_t &n) {
+                             a = (1 + r.below(1u << 12)) * 8192 -
+                                 (1 + r.below(40)) * 64 + 8 * r.below(8);
+                             w = r.uniform() < 0.4;
+                             n = r.uniform() < 0.5 ? 4096 : 1000;
+                         });
+                 },
+                 0xf637fa422e98bb32ull}),
     [](const auto &info) { return std::string(info.param.name); });
 
 } // namespace

@@ -863,6 +863,33 @@ TEST(LsqConfigDeathTest, RejectsEmptyLsq)
     EXPECT_DEATH(nvram::NvramConfig::fromConfig(raw), "lsq_entries");
 }
 
+TEST(NvramConfigDeathTest, RejectsMisspelledKey)
+{
+    // A typo must not quietly run App Direct with the default.
+    Config raw = Config::fromString("[nvram]\n"
+                                    "mdoe = memory\n");
+    EXPECT_DEATH(nvram::NvramConfig::fromConfig(raw),
+                 "unknown key 'mdoe'");
+    Config size = Config::fromString("[nvram]\n"
+                                     "mode = memory\n"
+                                     "dcache_capcity = 16M\n");
+    EXPECT_DEATH(nvram::NvramConfig::fromConfig(size),
+                 "unknown key 'dcache_capcity'");
+}
+
+TEST(NvramConfig, ShippedConfigsUseKnownKeys)
+{
+    for (const char *name :
+         {"optane_6dimm_interleaved.cfg", "optane_memory_mode.cfg",
+          "optane_server.cfg", "simulated_system.cfg"}) {
+        SCOPED_TRACE(name);
+        Config raw = Config::fromFile(std::string(VANS_SOURCE_DIR) +
+                                      "/configs/" + name);
+        EXPECT_FALSE(raw.keys("nvram").empty());
+        nvram::NvramConfig::fromConfig(raw); // fatal() on a bad key.
+    }
+}
+
 TEST(ShardedConfigDeathTest, RejectsAddressBeyondSocket)
 {
     nvram::NvramConfig cfg = smallConfig();
