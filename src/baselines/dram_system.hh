@@ -103,6 +103,8 @@ class DramMainMemory : public MemorySystem
     Tick nextWriteSlot = 0;
 
     StatGroup statGroup;
+    StatScalar &sReads = statGroup.scalar("reads");
+    StatScalar &sWrites = statGroup.scalar("writes");
 };
 
 /** PMEP: DRAM + injected delay + bandwidth throttle (Fig 1). */

@@ -10,10 +10,7 @@ namespace vans::cache
 
 Cache::Cache(const CacheParams &params)
     : p(params),
-      statGroup(params.name),
-      hits(&statGroup.scalar("hits")),
-      misses(&statGroup.scalar("misses")),
-      writebacks(&statGroup.scalar("writebacks"))
+      statGroup(params.name)
 {
     if (p.ways == 0 || p.ways > 1u << 16)
         fatal("cache %s: ways must be in [1, 65536]", p.name.c_str());
@@ -63,12 +60,12 @@ Cache::access(Addr addr, bool write)
             res.hit = true;
             l.dirty = l.dirty || write;
             promote(i);
-            hits->inc();
+            sHits.inc();
             return res;
         }
     }
 
-    misses->inc();
+    sMisses.inc();
     // Fill into an invalid way when one exists (a clflushopt'd line
     // leaves a free slot behind); only a full set evicts the LRU way.
     unsigned pos = p.ways - 1;
@@ -84,7 +81,7 @@ Cache::access(Addr addr, bool write)
         // Reconstruct the victim address.
         res.writebackAddr =
             ((l.tag << log2i(numSets)) | setIndex(addr)) * p.lineBytes;
-        writebacks->inc();
+        sWritebacks.inc();
     }
     l.valid = true;
     l.dirty = write;
@@ -138,8 +135,8 @@ Cache::clean(Addr addr)
 double
 Cache::missRate() const
 {
-    double h = static_cast<double>(hits->value());
-    double m = static_cast<double>(misses->value());
+    double h = static_cast<double>(sHits.value());
+    double m = static_cast<double>(sMisses.value());
     return (h + m) > 0 ? m / (h + m) : 0;
 }
 

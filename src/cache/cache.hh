@@ -48,9 +48,6 @@ class Cache
 {
   public:
     explicit Cache(const CacheParams &params);
-    // The cached stat pointers point into this object's own group.
-    Cache(const Cache &) = delete;
-    Cache &operator=(const Cache &) = delete;
 
     /**
      * Access @p addr; on miss the line is filled (possibly evicting
@@ -93,11 +90,9 @@ class Cache
      *  MRU way and lruOrder[(s + 1) * ways - 1] its LRU way. */
     std::vector<std::uint16_t> lruOrder;
     StatGroup statGroup;
-    /** Resolved once: a by-name lookup per access costs a
-     *  std::map<std::string> walk. */
-    StatScalar *hits;
-    StatScalar *misses;
-    StatScalar *writebacks;
+    StatScalar &sHits = statGroup.scalar("hits");
+    StatScalar &sMisses = statGroup.scalar("misses");
+    StatScalar &sWritebacks = statGroup.scalar("writebacks");
 };
 
 } // namespace vans::cache

@@ -55,18 +55,18 @@ Tlb::access(Addr addr)
 {
     std::uint64_t page = pageOf(addr);
     TlbResult r;
-    statGroup.scalar("accesses").inc();
+    sAccesses.inc();
     if (l1.lookup(page, true)) {
         r.l1Hit = true;
         return r;
     }
-    statGroup.scalar("l1_misses").inc();
+    sL1Misses.inc();
     if (stlb.lookup(page, true)) {
         r.stlbHit = true;
         l1.insert(page);
         return r;
     }
-    statGroup.scalar("walks").inc();
+    sWalks.inc();
     r.walk = true;
     stlb.insert(page);
     l1.insert(page);
@@ -81,7 +81,7 @@ Tlb::install(Addr addr)
     stlb.insert(page);
     l1.insert(page);
     if (fresh)
-        statGroup.scalar("pretranslation_installs").inc();
+        sPretranslationInstalls.inc();
     return fresh;
 }
 
@@ -96,8 +96,8 @@ Tlb::contains(Addr addr) const
 double
 Tlb::walkRate() const
 {
-    double a = static_cast<double>(statGroup.scalarValue("accesses"));
-    double w = static_cast<double>(statGroup.scalarValue("walks"));
+    double a = static_cast<double>(sAccesses.value());
+    double w = static_cast<double>(sWalks.value());
     return a > 0 ? w / a : 0;
 }
 

@@ -87,6 +87,11 @@ class Tlb
     Level l1;
     Level stlb;
     StatGroup statGroup;
+    StatScalar &sAccesses = statGroup.scalar("accesses");
+    StatScalar &sL1Misses = statGroup.scalar("l1_misses");
+    StatScalar &sWalks = statGroup.scalar("walks");
+    StatScalar &sPretranslationInstalls =
+        statGroup.scalar("pretranslation_installs");
 };
 
 } // namespace vans::cache

@@ -40,6 +40,16 @@ StatDistribution::fractionAbove(double threshold) const
     return static_cast<double>(n) / static_cast<double>(samples.size());
 }
 
+std::uint64_t
+StatGroup::scalarValue(const std::string &name) const
+{
+    auto it = scalars.find(name);
+    VANS_REQUIRE("stats", 0, it != scalars.end(),
+                 "%s: no scalar \"%s\" is registered",
+                 groupName.c_str(), name.c_str());
+    return it->second.value();
+}
+
 std::string
 StatGroup::dump() const
 {
@@ -104,22 +114,36 @@ StatGroup::restoreFrom(snapshot::StateSource &src)
                  "stat group mismatch: stream has \"%s\", "
                  "restorer is \"%s\"",
                  name.c_str(), groupName.c_str());
-    scalars.clear();
-    averages.clear();
+    // Assign into the registered entries (handles stay bound). Keys
+    // in a stream are unique, so with every one found, equal counts
+    // mean no registered stat was left out.
+    auto entry = [this](auto &stats, const std::string &key) -> auto & {
+        auto it = stats.find(key);
+        VANS_REQUIRE("stats", 0, it != stats.end(),
+                     "%s: snapshot names stat \"%s\", which is not "
+                     "registered",
+                     groupName.c_str(), key.c_str());
+        return it->second;
+    };
     std::uint64_t ns = src.u64();
-    for (std::uint64_t i = 0; i < ns; ++i) {
-        std::string key = src.str();
-        scalars[key].set(src.u64());
-    }
+    for (std::uint64_t i = 0; i < ns; ++i)
+        entry(scalars, src.str()).set(src.u64());
     std::uint64_t na = src.u64();
     for (std::uint64_t i = 0; i < na; ++i) {
-        std::string key = src.str();
+        StatAverage &avg = entry(averages, src.str());
         double sum = src.f64();
         std::uint64_t cnt = src.u64();
         double lo = src.f64();
         double hi = src.f64();
-        averages[key].restoreRaw(sum, cnt, lo, hi);
+        avg.restoreRaw(sum, cnt, lo, hi);
     }
+    VANS_REQUIRE("stats", 0,
+                 ns == scalars.size() && na == averages.size(),
+                 "%s: snapshot restores %llu of %zu registered scalars "
+                 "and %llu of %zu averages",
+                 groupName.c_str(), static_cast<unsigned long long>(ns),
+                 scalars.size(), static_cast<unsigned long long>(na),
+                 averages.size());
 }
 
 bool

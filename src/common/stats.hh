@@ -138,7 +138,14 @@ class StatDistribution
     std::size_t cap;
 };
 
-/** Named registry of stats belonging to one component. */
+/**
+ * Named registry of stats belonging to one component. Components
+ * register each stat while they are constructed and keep the returned
+ * reference. Entries are never erased (restoreFrom assigns in place)
+ * and a move steals the map nodes, so references stay valid; a copy
+ * would leave its holder's references in the original, so copying is
+ * deleted.
+ */
 // simlint-allow(statscover: StatGroup is the unit the
 // MetricsRegistry walk iterates -- its containers are the walk's
 // leaves, not members that need re-exporting)
@@ -148,22 +155,27 @@ class StatGroup
     explicit StatGroup(std::string group_name)
         : groupName(std::move(group_name))
     {}
+    StatGroup(const StatGroup &) = delete;
+    StatGroup &operator=(const StatGroup &) = delete;
+    StatGroup(StatGroup &&) = default;
 
+    /** Register (or find) a scalar; construction and export only. */
     StatScalar &scalar(const std::string &name)
     {
         return scalars[name];
     }
 
+    /** Register (or find) an average; construction and export only. */
     StatAverage &average(const std::string &name)
     {
         return averages[name];
     }
 
     /**
-     * Sample distribution (percentile-capable). Distributions are
-     * observability-only: they are not serialized by snapshotTo()
-     * and do not participate in identicalTo(), so adding one never
-     * perturbs the warm-world fork contract.
+     * Register (or find) a sample distribution (percentile-capable).
+     * Distributions are observability-only: they are not serialized
+     * by snapshotTo() and do not participate in identicalTo(), so
+     * adding one never perturbs the warm-world fork contract.
      */
     StatDistribution &distribution(const std::string &name)
     {
@@ -187,13 +199,8 @@ class StatGroup
         return distributions;
     }
 
-    /** Value of a scalar, 0 if never touched. */
-    std::uint64_t
-    scalarValue(const std::string &name) const
-    {
-        auto it = scalars.find(name);
-        return it == scalars.end() ? 0 : it->second.value();
-    }
+    /** Value of a registered scalar; an unregistered name is fatal. */
+    std::uint64_t scalarValue(const std::string &name) const;
 
     /** Render "group.stat = value" lines. */
     std::string dump() const;
@@ -203,7 +210,8 @@ class StatGroup
     /** Serialize every scalar and average (by name, bit-exact). */
     void snapshotTo(snapshot::StateSink &sink) const;
 
-    /** Restore stats serialized by snapshotTo(). */
+    /** Restore snapshotTo() output into the registered entries; the
+     *  stream must name exactly those scalars and averages. */
     void restoreFrom(snapshot::StateSource &src);
 
     /** True when both groups hold identical stats (test helper). */

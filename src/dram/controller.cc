@@ -34,29 +34,6 @@ DramController::DramController(EventQueue &eq, const DramTiming &timing,
 {
     if (verify::envEnabled())
         enableOnlineCheck();
-    cacheStatPointers();
-}
-
-void
-DramController::cacheStatPointers()
-{
-    // Resolve every stat this controller ever records up front: a
-    // first touch inside the event loop (e.g. the first refresh)
-    // would otherwise allocate mid-run.
-    st.rowHits = &statGroup.scalar("row_hits");
-    st.rowConflicts = &statGroup.scalar("row_conflicts");
-    st.rowMisses = &statGroup.scalar("row_misses");
-    st.cmdAct = &statGroup.scalar("cmd_act");
-    st.cmdPre = &statGroup.scalar("cmd_pre");
-    st.cmdRd = &statGroup.scalar("cmd_rd");
-    st.cmdWr = &statGroup.scalar("cmd_wr");
-    st.cmdRef = &statGroup.scalar("cmd_ref");
-    st.readAccesses = &statGroup.scalar("read_accesses");
-    st.writeAccesses = &statGroup.scalar("write_accesses");
-    st.bytesRead = &statGroup.scalar("bytes_read");
-    st.bytesWritten = &statGroup.scalar("bytes_written");
-    st.readLatency = &statGroup.average("read_latency_ns");
-    st.writeLatency = &statGroup.average("write_latency_ns");
 }
 
 void
@@ -161,8 +138,8 @@ DramController::access(Addr addr, bool write, std::uint32_t size,
         q.push_back(r);
     }
     nextSeq += lines;
-    (write ? st.writeAccesses : st.readAccesses)->inc();
-    (write ? st.bytesWritten : st.bytesRead)->inc(size);
+    (write ? sWriteAccesses : sReadAccesses).inc();
+    (write ? sBytesWritten : sBytesRead).inc(size);
     scheduleWakeup(eventq.curTick());
 }
 
@@ -244,7 +221,7 @@ DramController::issueAct(const DramCoord &c)
         actWindow.pop_front();
 
     cmdBusFree = now + spec.period();
-    st.cmdAct->inc();
+    sCmdAct.inc();
     emit({now, DramCmd::ACT, c.rank, c.bankGroup, c.bank,
                      c.row, 0});
 }
@@ -257,7 +234,7 @@ DramController::issuePre(const DramCoord &c)
     b.open = false;
     b.actReady = std::max(b.actReady, now + spec.cyc(spec.tRP));
     cmdBusFree = now + spec.period();
-    st.cmdPre->inc();
+    sCmdPre.inc();
     emit({now, DramCmd::PRE, c.rank, c.bankGroup, c.bank,
                      b.row, 0});
 }
@@ -282,10 +259,10 @@ DramController::issueCas(const LineReq &r)
         // Write recovery gates the next PRE of this bank.
         b.preReady = std::max(b.preReady,
                               data_end + spec.cyc(spec.tWR));
-        st.cmdWr->inc();
+        sCmdWr.inc();
     } else {
         b.preReady = std::max(b.preReady, now + spec.cyc(spec.tRTP));
-        st.cmdRd->inc();
+        sCmdRd.inc();
     }
 
     cmdBusFree = now + spec.period();
@@ -308,8 +285,8 @@ DramController::issueCas(const LineReq &r)
     Tick enq = r.enqueueTick;
     bool write = r.write;
     eventq.schedule(data_end, [this, pi, data_end, enq, write] {
-        (write ? st.writeLatency : st.readLatency)
-            ->sample(ticksToNs(data_end - enq));
+        (write ? sWriteLatency : sReadLatency)
+            .sample(ticksToNs(data_end - enq));
         if (tracer) [[unlikely]] {
             tracer->span(traceTrack, write ? lblWrite : lblRead, enq,
                          data_end);
@@ -352,7 +329,7 @@ DramController::doRefresh()
             c.bankGroup = (i / g.banksPerGroup) % g.bankGroups;
             c.rank = i / (g.banksPerGroup * g.bankGroups);
             c.row = b.row;
-            st.cmdPre->inc();
+            sCmdPre.inc();
             emit({now, DramCmd::PRE, c.rank, c.bankGroup,
                              c.bank, b.row, 0});
             b.open = false;
@@ -364,7 +341,7 @@ DramController::doRefresh()
                               ref_at + spec.cyc(spec.tRFC));
     }
     cmdBusFree = std::max(cmdBusFree, ref_at + spec.period());
-    st.cmdRef->inc();
+    sCmdRef.inc();
     emit({ref_at, DramCmd::REF, 0, 0, 0, 0, 0});
     nextRefresh += spec.cyc(spec.tREFI);
 }
@@ -601,7 +578,6 @@ DramController::restoreFrom(snapshot::StateSource &src)
     bool wakeup = src.boolean();
     wakeupAt = src.u64();
     statGroup.restoreFrom(src);
-    cacheStatPointers(); // restoreFrom rebuilt the stat maps.
     bool had_checker = src.boolean();
     if (had_checker && checker)
         checker->restoreFrom(src);
@@ -626,20 +602,20 @@ DramController::issueFor(LineReq &r)
     BankState &b = banks[bankIndex(r.coord)];
     if (b.open && b.row == r.coord.row) {
         if (!r.classified)
-            st.rowHits->inc();
+            sRowHits.inc();
         r.classified = true;
         issueCas(r);
         return true;
     }
     if (b.open) {
         if (!r.classified)
-            st.rowConflicts->inc();
+            sRowConflicts.inc();
         r.classified = true;
         issuePre(r.coord);
         return false;
     }
     if (!r.classified)
-        st.rowMisses->inc();
+        sRowMisses.inc();
     r.classified = true;
     issueAct(r.coord);
     return false;

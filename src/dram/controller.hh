@@ -301,32 +301,20 @@ class DramController
     Tick wakeupAt = 0;
 
     StatGroup statGroup;
-    /** Cached stat pointers: the per-command and per-access counters
-     *  would otherwise cost a std::map<std::string> lookup each, and
-     *  the latency names exceed std::string's SSO (the data-completion
-     *  event must not allocate per access). */
-    struct StatPtrs
-    {
-        StatScalar *rowHits = nullptr;
-        StatScalar *rowConflicts = nullptr;
-        StatScalar *rowMisses = nullptr;
-        StatScalar *cmdAct = nullptr;
-        StatScalar *cmdPre = nullptr;
-        StatScalar *cmdRd = nullptr;
-        StatScalar *cmdWr = nullptr;
-        StatScalar *cmdRef = nullptr;
-        StatScalar *readAccesses = nullptr;
-        StatScalar *writeAccesses = nullptr;
-        StatScalar *bytesRead = nullptr;
-        StatScalar *bytesWritten = nullptr;
-        StatAverage *readLatency = nullptr;
-        StatAverage *writeLatency = nullptr;
-    };
-    // simlint-transient(re-resolved by cacheStatPointers after
-    // restoreFrom rebuilds the stat maps)
-    StatPtrs st;
-    /** Re-resolve the cached stat pointers (ctor and post-restore). */
-    void cacheStatPointers();
+    StatScalar &sRowHits = statGroup.scalar("row_hits");
+    StatScalar &sRowConflicts = statGroup.scalar("row_conflicts");
+    StatScalar &sRowMisses = statGroup.scalar("row_misses");
+    StatScalar &sCmdAct = statGroup.scalar("cmd_act");
+    StatScalar &sCmdPre = statGroup.scalar("cmd_pre");
+    StatScalar &sCmdRd = statGroup.scalar("cmd_rd");
+    StatScalar &sCmdWr = statGroup.scalar("cmd_wr");
+    StatScalar &sCmdRef = statGroup.scalar("cmd_ref");
+    StatScalar &sReadAccesses = statGroup.scalar("read_accesses");
+    StatScalar &sWriteAccesses = statGroup.scalar("write_accesses");
+    StatScalar &sBytesRead = statGroup.scalar("bytes_read");
+    StatScalar &sBytesWritten = statGroup.scalar("bytes_written");
+    StatAverage &sReadLatency = statGroup.average("read_latency_ns");
+    StatAverage &sWriteLatency = statGroup.average("write_latency_ns");
     // simlint-transient(the command trace is documented as not
     // preserved across snapshot -- a restored world records a fresh
     // trace, which the snapshot-identity test relies on)

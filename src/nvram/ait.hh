@@ -237,6 +237,19 @@ class Ait
     PendingWrite intakePop();
 
     StatGroup statGroup;
+    StatScalar &sBufEvictions = statGroup.scalar("buf_evictions");
+    StatScalar &sBufHits = statGroup.scalar("buf_hits");
+    StatScalar &sBufMisses = statGroup.scalar("buf_misses");
+    StatScalar &sFillReads = statGroup.scalar("fill_reads");
+    StatScalar &sFillThrottle = statGroup.scalar("fill_throttle");
+    StatScalar &sLazyAbsorbed = statGroup.scalar("lazy_absorbed");
+    StatScalar &sMediaFills = statGroup.scalar("media_fills");
+    StatScalar &sMigrationStalls = statGroup.scalar("migration_stalls");
+    StatScalar &sReads = statGroup.scalar("reads");
+    StatScalar &sWrites = statGroup.scalar("writes");
+    StatAverage &sMissCritNs = statGroup.average("miss_crit_ns");
+    StatAverage &sMissTableNs = statGroup.average("miss_table_ns");
+    StatAverage &sWriteIntakeNs = statGroup.average("write_intake_ns");
 
     obs::TraceRecorder *tracer = nullptr;
     // simlint-transient(trace wiring assigned by attachTracer after

@@ -231,44 +231,17 @@ class DramCache
     std::uint32_t outstandingDramWrites = 0;
 
     StatGroup statGroup;
-    /** Cached hot-path counters: StatGroup::scalar takes a string
-     *  key, which is off the hot path once these are resolved.
-     *  Re-cached after restoreFrom (restore rebuilds the maps). */
-    // simlint-transient(cached pointer into statGroup, which is
-    // serialized; cacheStatPointers re-resolves after restore)
-    StatScalar *sHits = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sMisses = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sMshrMerges = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sFills = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sDirtyEvicts = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sWriteThroughs = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sInvalidates = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sWbWriteHits = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sWbWriteMisses = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatScalar *sNvmLineWrites = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // by cacheStatPointers after restore)
-    StatAverage *sHitRatio = nullptr;
-    /** Re-resolve the cached stat pointers (ctor and post-restore). */
-    void cacheStatPointers();
+    StatScalar &sHits = statGroup.scalar("hits");
+    StatScalar &sMisses = statGroup.scalar("misses");
+    StatScalar &sMshrMerges = statGroup.scalar("mshr_merges");
+    StatScalar &sFills = statGroup.scalar("fills");
+    StatScalar &sDirtyEvicts = statGroup.scalar("dirty_evicts");
+    StatScalar &sWriteThroughs = statGroup.scalar("writethroughs");
+    StatScalar &sInvalidates = statGroup.scalar("invalidates");
+    StatScalar &sWbWriteHits = statGroup.scalar("wb_write_hits");
+    StatScalar &sWbWriteMisses = statGroup.scalar("wb_write_misses");
+    StatScalar &sNvmLineWrites = statGroup.scalar("nvm_line_writes");
+    StatAverage &sHitRatio = statGroup.average("hit_ratio");
 
     dram::DramController dram;
 

@@ -15,11 +15,10 @@ Imc::Imc(EventQueue &eq, RequestPool &req_pool,
     : eventq(eq), pool(req_pool), cfg(config), statGroup(name)
 {
     cfg.validate();
-    channels.resize(cfg.numDimms);
+    channels.reserve(cfg.numDimms);
     for (unsigned i = 0; i < cfg.numDimms; ++i) {
-        Channel &ch = channels[i];
-        ch.stats = std::make_unique<StatGroup>(
-            name + ".ch" + std::to_string(i));
+        Channel &ch =
+            channels.emplace_back(name + ".ch" + std::to_string(i));
         ch.dimm = std::make_unique<NvramDimm>(
             eventq, cfg, name + ".dimm" + std::to_string(i));
         if (cfg.memoryMode()) {
@@ -37,22 +36,7 @@ Imc::Imc(EventQueue &eq, RequestPool &req_pool,
         }
         ch.wpqLines.reserve(cfg.wpqEntries);
         ch.wpqKinds.reserve(cfg.wpqEntries);
-        cacheStatPointers(ch);
     }
-    sReads = &statGroup.scalar("reads");
-    sWrites = &statGroup.scalar("writes");
-    sFences = &statGroup.scalar("fences");
-    sSfences = &statGroup.scalar("sfences");
-    sWcPartialDrains = &statGroup.scalar("wc_partial_drains");
-}
-
-void
-Imc::cacheStatPointers(Channel &ch)
-{
-    ch.sBusTurnarounds = &ch.stats->scalar("bus_turnarounds");
-    ch.sWpqMerges = &ch.stats->scalar("wpq_merges");
-    ch.sWpqStalls = &ch.stats->scalar("wpq_stalls");
-    ch.sWpqReadHazards = &ch.stats->scalar("wpq_read_hazards");
 }
 
 bool
@@ -137,7 +121,7 @@ Imc::busTransfer(Channel &ch, bool write, std::uint32_t bytes)
     Tick start = std::max(now, ch.bus.freeAt);
     if (ch.bus.used && ch.bus.lastWasWrite != write) {
         start += nsToTicks(cfg.busTurnaroundNs);
-        ch.sBusTurnarounds->inc();
+        ch.sBusTurnarounds.inc();
     }
     unsigned beats = (bytes + cacheLineSize - 1) / cacheLineSize;
     Tick occupancy = nsToTicks(cfg.busCmdNs) +
@@ -190,7 +174,7 @@ Imc::completeWrite(Channel &ch, RequestHandle h)
 void
 Imc::issueWrite(RequestHandle h)
 {
-    sWrites->inc();
+    sWrites.inc();
     Request &req = pool.get(h);
     unsigned ci = dimmOf(req.addr);
     Channel &ch = channels[ci];
@@ -221,7 +205,7 @@ Imc::issueWrite(RequestHandle h)
             if (wpqContains(c, line)) {
                 // Merge into the pending entry: already in ADR. The
                 // merged data inherits the strongest write kind.
-                c.sWpqMerges->inc();
+                c.sWpqMerges.inc();
                 wpqKindMerge(c, line, kind);
                 completeWrite(c, h);
                 return;
@@ -232,7 +216,7 @@ Imc::issueWrite(RequestHandle h)
                 return;
             }
             // WPQ full: the store stalls until a slot frees.
-            c.sWpqStalls->inc();
+            c.sWpqStalls.inc();
             c.wpqWaiting.push_back(h);
             wpqDrain(ci);
         });
@@ -326,7 +310,7 @@ Imc::wpqDrain(unsigned ci)
             Addr wline = alignDown(pool.get(w).addr, cacheLineSize);
             std::uint8_t wkind = writeKindOf(pool.get(w).op);
             if (wpqContains(c, wline)) {
-                c.sWpqMerges->inc();
+                c.sWpqMerges.inc();
                 wpqKindMerge(c, wline, wkind);
                 completeWrite(c, w);
             } else {
@@ -345,7 +329,7 @@ Imc::wpqDrain(unsigned ci)
 void
 Imc::issueRead(RequestHandle h)
 {
-    sReads->inc();
+    sReads.inc();
     unsigned ci = dimmOf(pool.get(h).addr);
     Channel &ch = channels[ci];
     ++ch.pendingArrivals;
@@ -362,7 +346,7 @@ Imc::issueRead(RequestHandle h)
             // loads do not forward from the WPQ -- section III-C's
             // RaW behaviour).
             if (wpqContains(c, line)) {
-                c.sWpqReadHazards->inc();
+                c.sWpqReadHazards.inc();
                 c.wpqReadHazards.emplace_back(line, h);
                 return;
             }
@@ -421,7 +405,7 @@ Imc::startRead(unsigned ci, RequestHandle h)
 void
 Imc::issueFence(RequestHandle h)
 {
-    sFences->inc();
+    sFences.inc();
     if (lifecycle)
         lifecycle->onQueued(pool.get(h));
     if (tracer) [[unlikely]]
@@ -492,7 +476,7 @@ Imc::checkFences()
 void
 Imc::issueSfence(RequestHandle h)
 {
-    sSfences->inc();
+    sSfences.inc();
     if (lifecycle)
         lifecycle->onQueued(pool.get(h));
     if (tracer) [[unlikely]]
@@ -504,7 +488,7 @@ Imc::issueSfence(RequestHandle h)
     // the wcBufferBytes crossover.
     if (wcFill % cfg.wcBufferBytes != 0) {
         ready += nsToTicks(cfg.wcPartialDrainNs);
-        sWcPartialDrains->inc();
+        sWcPartialDrains.inc();
     }
     wcFill = 0;
     pendingSfences.push_back({h, ready});
@@ -590,7 +574,7 @@ Imc::channelScalarSum(const std::string &name) const
 {
     std::uint64_t n = 0;
     for (const auto &ch : channels)
-        n += ch.stats->scalarValue(name);
+        n += ch.stats.scalarValue(name);
     return n;
 }
 
@@ -627,7 +611,7 @@ Imc::snapshotTo(snapshot::StateSink &sink) const
         sink.u64(ch.bus.freeAt);
         sink.boolean(ch.bus.lastWasWrite);
         sink.boolean(ch.bus.used);
-        ch.stats->snapshotTo(sink);
+        ch.stats.snapshotTo(sink);
         ch.dimm->snapshotTo(sink);
         if (ch.dcache)
             ch.dcache->snapshotTo(sink);
@@ -662,7 +646,7 @@ Imc::restoreFrom(snapshot::StateSource &src)
         ch.bus.freeAt = src.u64();
         ch.bus.lastWasWrite = src.boolean();
         ch.bus.used = src.boolean();
-        ch.stats->restoreFrom(src);
+        ch.stats.restoreFrom(src);
         ch.dimm->restoreFrom(src);
         if (ch.dcache)
             ch.dcache->restoreFrom(src);
@@ -672,16 +656,8 @@ Imc::restoreFrom(snapshot::StateSource &src)
             Addr line = src.u64();
             ch.adrVersions[line] = src.u64();
         }
-        // restoreFrom rebuilt the scalar map: re-resolve the cached
-        // hot-path counters.
-        cacheStatPointers(ch);
     }
     statGroup.restoreFrom(src);
-    sReads = &statGroup.scalar("reads");
-    sWrites = &statGroup.scalar("writes");
-    sFences = &statGroup.scalar("fences");
-    sSfences = &statGroup.scalar("sfences");
-    sWcPartialDrains = &statGroup.scalar("wc_partial_drains");
 }
 
 } // namespace vans::nvram

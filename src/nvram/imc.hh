@@ -114,7 +114,7 @@ class Imc
     /** Per-channel counters (WPQ merges/stalls, bus turnarounds). */
     StatGroup &channelStats(unsigned ci)
     {
-        return *channels[ci].stats;
+        return channels[ci].stats;
     }
 
     /** Sum of one per-channel scalar over all channels. */
@@ -172,27 +172,19 @@ class Imc
 
     struct Channel
     {
+        explicit Channel(std::string stats_name)
+            : stats(std::move(stats_name))
+        {}
+
         std::unique_ptr<NvramDimm> dimm;
         /** Memory-mode DRAM cache between the channel front-end and
          *  the DIMM (null in App Direct). */
         std::unique_ptr<DramCache> dcache;
-        std::unique_ptr<StatGroup> stats;
-        /** Cached per-channel counters: StatGroup::scalar takes a
-         *  std::string key, which is off the hot path once these are
-         *  resolved. Re-cached after restoreFrom (restore rebuilds
-         *  the scalar map). */
-        // simlint-transient(cached pointer into `stats`, which is
-        // serialized; cacheStatPointers re-resolves after restore)
-        StatScalar *sBusTurnarounds = nullptr;
-        // simlint-transient(cached pointer into `stats`; re-resolved
-        // by cacheStatPointers after restore)
-        StatScalar *sWpqMerges = nullptr;
-        // simlint-transient(cached pointer into `stats`; re-resolved
-        // by cacheStatPointers after restore)
-        StatScalar *sWpqStalls = nullptr;
-        // simlint-transient(cached pointer into `stats`; re-resolved
-        // by cacheStatPointers after restore)
-        StatScalar *sWpqReadHazards = nullptr;
+        StatGroup stats;
+        StatScalar &sBusTurnarounds = stats.scalar("bus_turnarounds");
+        StatScalar &sWpqMerges = stats.scalar("wpq_merges");
+        StatScalar &sWpqStalls = stats.scalar("wpq_stalls");
+        StatScalar &sWpqReadHazards = stats.scalar("wpq_read_hazards");
         /** WPQ membership (<= wpqEntries lines, linear scan beats a
          *  map at that size and never allocates once reserved). */
         // simlint-transient(quiescent() REQUIREs the WPQ empty at
@@ -259,9 +251,6 @@ class Imc
         // attachTracer)
         std::uint16_t lblBusWrite = 0;
     };
-
-    /** Resolve the per-channel hot-path stat counters. */
-    void cacheStatPointers(Channel &ch);
 
     /** WPQ membership probe (linear over <= wpqEntries lines). */
     static bool wpqContains(const Channel &ch, Addr line);
@@ -334,21 +323,11 @@ class Imc
     bool persistTracking = false;
 
     StatGroup statGroup;
-    // simlint-transient(cached pointer into statGroup, which is
-    // serialized; re-resolved after restoreFrom)
-    StatScalar *sReads = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // after restoreFrom)
-    StatScalar *sWrites = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // after restoreFrom)
-    StatScalar *sFences = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // after restoreFrom)
-    StatScalar *sSfences = nullptr;
-    // simlint-transient(cached pointer into statGroup; re-resolved
-    // after restoreFrom)
-    StatScalar *sWcPartialDrains = nullptr;
+    StatScalar &sReads = statGroup.scalar("reads");
+    StatScalar &sWrites = statGroup.scalar("writes");
+    StatScalar &sFences = statGroup.scalar("fences");
+    StatScalar &sSfences = statGroup.scalar("sfences");
+    StatScalar &sWcPartialDrains = statGroup.scalar("wc_partial_drains");
 
     obs::TraceRecorder *tracer = nullptr;
 };

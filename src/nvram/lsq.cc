@@ -58,11 +58,11 @@ Lsq::acceptWrite(Addr addr)
     Group &g = opened ? openGroup(blockOf(addr)) : it->second;
     unsigned bit = laneBit(addr);
     if (g.presentMask & bit) {
-        statGroup.scalar("write_merges").inc();
+        sWriteMerges.inc();
     } else {
         g.presentMask |= bit;
         ++numEntries;
-        statGroup.scalar("writes").inc();
+        sWrites.inc();
     }
     touch(g);
     if (tracer) [[unlikely]]
@@ -172,7 +172,7 @@ Lsq::readProbe(Addr addr, DoneCallback hazard_done)
 
     // Read-after-write hazard: force the group out and hold the
     // read until the data reaches the RMW buffer.
-    statGroup.scalar("raw_hazards").inc();
+    sRawHazards.inc();
     if (tracer) [[unlikely]]
         tracer->instant(traceTrack, lblHazard, eventq.curTick(),
                         addr);
@@ -198,7 +198,7 @@ Lsq::seal()
         kv.second.sealed = true;
         makeReady(kv.second);
     }
-    statGroup.scalar("seals").inc();
+    sSeals.inc();
     scheduleDrainCheck(eventq.curTick());
 }
 
@@ -315,10 +315,10 @@ Lsq::startGroupDrain(Group &g)
     unsigned lines = popcount(g.presentMask);
     std::uint32_t bytes = lines * cacheLineSize;
     if (bytes >= cfg.rmwLineBytes)
-        statGroup.scalar("combined_drains").inc();
+        sCombinedDrains.inc();
     else
-        statGroup.scalar("partial_drains").inc();
-    statGroup.average("drain_lines").sample(lines);
+        sPartialDrains.inc();
+    sDrainLines.sample(lines);
 
     Addr block = g.block;
     auto waiters = std::move(g.hazardWaiters);

@@ -242,6 +242,13 @@ class Lsq
     Tick drainCheckAt = 0;
 
     StatGroup statGroup;
+    StatScalar &sCombinedDrains = statGroup.scalar("combined_drains");
+    StatScalar &sPartialDrains = statGroup.scalar("partial_drains");
+    StatScalar &sRawHazards = statGroup.scalar("raw_hazards");
+    StatScalar &sSeals = statGroup.scalar("seals");
+    StatScalar &sWriteMerges = statGroup.scalar("write_merges");
+    StatScalar &sWrites = statGroup.scalar("writes");
+    StatAverage &sDrainLines = statGroup.average("drain_lines");
 
     obs::TraceRecorder *tracer = nullptr;
     // simlint-transient(trace wiring assigned by attachTracer after

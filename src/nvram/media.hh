@@ -150,6 +150,10 @@ class XPointMedia
     // construction)
     std::uint64_t maxQueueDepth = 4;
     StatGroup statGroup;
+    StatScalar &sChunkReads = statGroup.scalar("chunk_reads");
+    StatScalar &sChunkWrites = statGroup.scalar("chunk_writes");
+    StatAverage &sReadQueueNs = statGroup.average("read_queue_ns");
+    StatAverage &sWriteQueueNs = statGroup.average("write_queue_ns");
 
     obs::TraceRecorder *tracer = nullptr;
     // simlint-transient(trace label id, re-interned on attachTracer)

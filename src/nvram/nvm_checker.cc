@@ -203,13 +203,12 @@ Verifier::finalCheck(VansSystem &sys, bool queue_drained)
 StatGroup &
 Verifier::stats()
 {
-    statGroup.scalar("requests_issued").set(lifeChecker.issued());
-    statGroup.scalar("requests_retired").set(lifeChecker.retired());
-    statGroup.scalar("peak_in_flight").set(lifeChecker.peakInFlight());
-    statGroup.scalar("audits").set(invChecker.audits());
-    statGroup.scalar("persist_violations")
-        .set(persistChecker.violations());
-    statGroup.scalar("failures").set(mon.reported());
+    sRequestsIssued.set(lifeChecker.issued());
+    sRequestsRetired.set(lifeChecker.retired());
+    sPeakInFlight.set(lifeChecker.peakInFlight());
+    sAudits.set(invChecker.audits());
+    sPersistViolations.set(persistChecker.violations());
+    sFailures.set(mon.reported());
     verify::checkStatsInto(statGroup);
     return statGroup;
 }

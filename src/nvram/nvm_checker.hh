@@ -156,6 +156,13 @@ class Verifier
     NvmInvariantChecker invChecker;
     persist::PersistenceChecker persistChecker;
     StatGroup statGroup;
+    StatScalar &sRequestsIssued = statGroup.scalar("requests_issued");
+    StatScalar &sRequestsRetired = statGroup.scalar("requests_retired");
+    StatScalar &sPeakInFlight = statGroup.scalar("peak_in_flight");
+    StatScalar &sAudits = statGroup.scalar("audits");
+    StatScalar &sPersistViolations =
+        statGroup.scalar("persist_violations");
+    StatScalar &sFailures = statGroup.scalar("failures");
 };
 
 } // namespace vans::nvram

@@ -1,6 +1,7 @@
 #include "nvram/nvram_config.hh"
 
 #include <set>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -42,9 +43,27 @@ NvramConfig::validate() const
               "[%u, %u] (got %u)",
               cacheLineSize, 8 * cacheLineSize, rmwLineBytes);
     }
-    if (lsqEntries < 1)
-        fatal("[nvram] lsq_entries must be at least 1 (got %u)",
-              lsqEntries);
+    // A zero capacity never admits (reads park in the RPQ forever);
+    // the media and AIT code divide or take a modulo by the rest.
+    for (auto [key, value] : {std::pair<const char *, unsigned>{
+                                  "lsq_entries", lsqEntries},
+                              {"wpq_entries", wpqEntries},
+                              {"rpq_entries", rpqEntries},
+                              {"rmw_entries", rmwEntries},
+                              {"ait_buf_entries", aitBufEntries},
+                              {"media_partitions", mediaPartitions},
+                              {"media_chunk_bytes", mediaChunkBytes}}) {
+        if (value < 1)
+            fatal("[nvram] %s must be at least 1 (got %u)", key, value);
+    }
+    // An AIT fill reads aitLineBytes / mediaChunkBytes chunks, which
+    // must be a whole number and at least one.
+    if ((aitLineBytes & (aitLineBytes - 1)) != 0 ||
+        aitLineBytes % mediaChunkBytes != 0 || aitLineBytes == 0) {
+        fatal("[nvram] ait_line_bytes must be a power of two and a "
+              "multiple of media_chunk_bytes %u (got %u)",
+              mediaChunkBytes, aitLineBytes);
+    }
     // The sfence partial-drain charge tests wcFill % wcBufferBytes:
     // a buffer smaller than a line (or not a power of two) would
     // charge full-line NT streams at random.
@@ -147,6 +166,14 @@ NvramConfig::fromConfig(const Config &cfg)
     for (const std::string &key : cfg.keys(s)) {
         if (!known.count(key))
             fatal("[nvram] unknown key '%s'", key.c_str());
+    }
+    for (const std::string &key : cfg.keys("trace")) {
+        if (key != "enable")
+            fatal("[trace] unknown key '%s'", key.c_str());
+    }
+    for (const std::string &section : cfg.sections()) {
+        if (section != s && section != "trace")
+            fatal("unknown config section '[%s]'", section.c_str());
     }
     // Reject malformed topologies at parse time, before any world is
     // built from this configuration.

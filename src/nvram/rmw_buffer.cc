@@ -61,7 +61,7 @@ RmwBuffer::makeRoom()
             it->second.state == State::Clean) {
             --cleanCount;
             entries.erase(it);
-            statGroup.scalar("evictions").inc();
+            sEvictions.inc();
             return true;
         }
         if (it != entries.end())
@@ -80,7 +80,7 @@ RmwBuffer::read(Addr addr, DoneCallback done)
 
     Entry *e = find(line);
     if (e) {
-        statGroup.scalar("read_hits").inc();
+        sReadHits.inc();
         if (e->state == State::Filling) {
             // Fill already in flight: piggyback on it.
             e->mergeWaiters.push_back(std::move(done));
@@ -94,14 +94,14 @@ RmwBuffer::read(Addr addr, DoneCallback done)
         return;
     }
 
-    statGroup.scalar("read_misses").inc();
+    sReadMisses.inc();
     if (tracer) [[unlikely]]
         tracer->instant(traceTrack, lblReadMiss, eventq.curTick(),
                         addr);
     if (!makeRoom()) {
         // All entries hold staged writes: serve the read from the
         // AIT without caching rather than stalling it.
-        statGroup.scalar("read_bypass").inc();
+        sReadBypass.inc();
         eventq.scheduleAfter(access, [this, line,
                                       done = std::move(done)]() mutable {
             ait.read(line, std::move(done));
@@ -161,7 +161,7 @@ RmwBuffer::acceptWrite(Addr addr, std::uint32_t bytes,
 {
     Addr line = lineOf(addr);
     Tick access = nsToTicks(cfg.rmwAccessNs);
-    statGroup.scalar("writes").inc();
+    sWrites.inc();
 
     // The cached clean count drives both eviction and admission, the
     // write-pending count drives quiescence; both must match a
@@ -185,7 +185,7 @@ RmwBuffer::acceptWrite(Addr addr, std::uint32_t bytes,
 
     Entry *e = find(line);
     if (e) {
-        statGroup.scalar("write_merges").inc();
+        sWriteMerges.inc();
         // Staged lines (Dirty / IssuedWait) make the writer wait --
         // canAcceptWrite must have rejected this call.
         VANS_REQUIRE("rmw", eventq.curTick(),
@@ -239,7 +239,7 @@ RmwBuffer::acceptWrite(Addr addr, std::uint32_t bytes,
         enqueueIssue(line);
     } else {
         // Sub-256B write: the eponymous read-modify-write.
-        statGroup.scalar("rmw_fills").inc();
+        sRmwFills.inc();
         ne.state = State::Filling;
         if (writePending(ne))
             ++writePendingCount;

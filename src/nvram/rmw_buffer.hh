@@ -184,6 +184,13 @@ class RmwBuffer
     unsigned writeFillsInFlight = 0;
 
     StatGroup statGroup;
+    StatScalar &sEvictions = statGroup.scalar("evictions");
+    StatScalar &sReadBypass = statGroup.scalar("read_bypass");
+    StatScalar &sReadHits = statGroup.scalar("read_hits");
+    StatScalar &sReadMisses = statGroup.scalar("read_misses");
+    StatScalar &sRmwFills = statGroup.scalar("rmw_fills");
+    StatScalar &sWriteMerges = statGroup.scalar("write_merges");
+    StatScalar &sWrites = statGroup.scalar("writes");
 
     obs::TraceRecorder *tracer = nullptr;
     // simlint-transient(trace wiring assigned by attachTracer after

@@ -27,6 +27,10 @@ VansSystem::VansSystem(EventQueue &eq, const NvramConfig &config,
     }
     if (cfg.trace || obs::envTraceEnabled()) {
         rec = std::make_unique<obs::TraceRecorder>();
+        opLatency.emplace(
+            OpLatency{reqStats.distribution("read_latency_ns"),
+                      reqStats.distribution("write_latency_ns"),
+                      reqStats.distribution("fence_latency_ns")});
         imcModel.attachTracer(*rec, sysName + ".imc");
     }
 }
@@ -67,12 +71,10 @@ VansSystem::issue(RequestHandle h)
         req.onComplete = [this, inner = std::move(inner)](
                              Request &r) mutable {
             rec->onRetire(r, r.completeTick);
-            const char *dist = isRead(r.op) ? "read_latency_ns"
-                               : isWrite(r.op)
-                                   ? "write_latency_ns"
-                                   : "fence_latency_ns";
-            reqStats.distribution(dist).sample(
-                ticksToNs(r.latency()));
+            StatDistribution &dist = isRead(r.op)    ? opLatency->read
+                                     : isWrite(r.op) ? opLatency->write
+                                                     : opLatency->fence;
+            dist.sample(ticksToNs(r.latency()));
             if (inner)
                 inner(r);
         };

@@ -13,6 +13,7 @@
 #define VANS_NVRAM_VANS_SYSTEM_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/mem_system.hh"
@@ -149,6 +150,17 @@ class VansSystem : public MemorySystem
     // distributions are observability-only by the StatGroup snapshot
     // contract; a fork samples its own fresh latencies)
     StatGroup reqStats;
+    /** Per-op latency distributions in reqStats, registered with the
+     *  recorder and sampled at each traced retire. */
+    struct OpLatency
+    {
+        StatDistribution &read;
+        StatDistribution &write;
+        StatDistribution &fence;
+    };
+    // simlint-transient(handles into reqStats, whose distributions
+    // are observability-only; set up with the recorder)
+    std::optional<OpLatency> opLatency;
     // simlint-transient(derived view: metricsInto rebuilds it from
     // the event queue on every export)
     StatGroup kernelStats;

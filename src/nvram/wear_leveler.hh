@@ -63,7 +63,7 @@ class WearLeveler
     /** Total migrations started so far. */
     std::uint64_t migrations() const
     {
-        return statGroup.scalarValue("migrations");
+        return sMigrations.value();
     }
 
     /** Wear count of the block owning @p addr (since last reset). */
@@ -119,6 +119,8 @@ class WearLeveler
     std::unordered_map<Addr, std::uint64_t> wearCount;
     std::unordered_map<Addr, Tick> migrating; ///< block -> end tick.
     StatGroup statGroup;
+    StatScalar &sMediaWrites = statGroup.scalar("media_writes");
+    StatScalar &sMigrations = statGroup.scalar("migrations");
 
     obs::TraceRecorder *tracer = nullptr;
     // simlint-transient(trace wiring assigned by attachTracer after

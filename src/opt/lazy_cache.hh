@@ -67,7 +67,7 @@ class LazyCache
 
     std::uint64_t absorbed() const
     {
-        return statGroup.scalarValue("absorbed");
+        return sAbsorbed.value();
     }
 
   private:
@@ -93,6 +93,9 @@ class LazyCache
     std::uint64_t wearBlockBytes = 64 << 10;
 
     StatGroup statGroup;
+    StatScalar &sMigrationUpdates = statGroup.scalar("migration_updates");
+    StatScalar &sAbsorbed = statGroup.scalar("absorbed");
+    StatScalar &sWritebacks = statGroup.scalar("writebacks");
 };
 
 } // namespace vans::opt

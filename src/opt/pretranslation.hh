@@ -85,6 +85,10 @@ class PreTranslation
     std::unordered_set<std::uint64_t> rlbSet;
 
     StatGroup statGroup;
+    StatScalar &sTableUpdates = statGroup.scalar("table_updates");
+    StatScalar &sMisses = statGroup.scalar("misses");
+    StatScalar &sStale = statGroup.scalar("stale");
+    StatScalar &sDeliveries = statGroup.scalar("deliveries");
 };
 
 } // namespace vans::opt

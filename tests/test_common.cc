@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
 
 #include "common/ascii_chart.hh"
 #include "common/config.hh"
 #include "common/curve.hh"
 #include "common/event_queue.hh"
 #include "common/inplace_function.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/snapshot.hh"
 #include "common/stats.hh"
 #include "nvram/nvram_config.hh"
 #include "workloads/zipfian.hh"
@@ -382,6 +385,57 @@ TEST(Stats, ScalarAndAverage)
     EXPECT_NE(g.dump().find("test.count = 5"), std::string::npos);
     g.reset();
     EXPECT_EQ(g.scalarValue("count"), 0u);
+}
+
+// Handles taken at registration stay bound across a restore: restore
+// assigns into the registered entries instead of rebuilding the maps,
+// and a stream that does not name exactly those entries is refused.
+TEST(StatGroup, RestoreKeepsRegisteredHandles)
+{
+    // A copy would leave its holder's handles in the original; a move
+    // carries the map nodes, and so the handles, along.
+    static_assert(!std::is_copy_constructible_v<StatGroup>);
+    static_assert(std::is_move_constructible_v<StatGroup>);
+    setQuiet(true);
+    StatGroup captured("g");
+    captured.scalar("hits").inc(7);
+    captured.average("lat").sample(3.0);
+    snapshot::StateSink sink;
+    captured.snapshotTo(sink);
+    const std::vector<std::uint8_t> bytes = sink.take();
+
+    StatGroup g("g");
+    StatScalar &hits = g.scalar("hits");
+    StatAverage &lat = g.average("lat");
+    hits.inc(100);
+    snapshot::StateSource src(bytes);
+    g.restoreFrom(src);
+    EXPECT_EQ(hits.value(), 7u);
+    EXPECT_EQ(lat.count(), 1u);
+    EXPECT_DOUBLE_EQ(lat.mean(), 3.0);
+    hits.inc();
+    EXPECT_EQ(g.scalarValue("hits"), 8u);
+
+    EXPECT_DEATH(
+        {
+            StatGroup no_hits("g");
+            no_hits.average("lat");
+            snapshot::StateSource s(bytes);
+            no_hits.restoreFrom(s);
+        },
+        "names stat \"hits\", which is not registered");
+    EXPECT_DEATH(
+        {
+            StatGroup more("g");
+            more.scalar("hits");
+            more.scalar("misses");
+            more.average("lat");
+            snapshot::StateSource s(bytes);
+            more.restoreFrom(s);
+        },
+        "restores 1 of 2 registered");
+    EXPECT_DEATH(g.scalarValue("misses"),
+                 "no scalar \"misses\" is registered");
 }
 
 TEST(Stats, DistributionPercentiles)

@@ -865,16 +865,52 @@ TEST(LsqConfigDeathTest, RejectsEmptyLsq)
 
 TEST(NvramConfigDeathTest, RejectsMisspelledKey)
 {
-    // A typo must not quietly run App Direct with the default.
-    Config raw = Config::fromString("[nvram]\n"
-                                    "mdoe = memory\n");
-    EXPECT_DEATH(nvram::NvramConfig::fromConfig(raw),
-                 "unknown key 'mdoe'");
-    Config size = Config::fromString("[nvram]\n"
-                                     "mode = memory\n"
-                                     "dcache_capcity = 16M\n");
-    EXPECT_DEATH(nvram::NvramConfig::fromConfig(size),
-                 "unknown key 'dcache_capcity'");
+    // A typo must not quietly run App Direct with the default, nor
+    // leave a whole section (or the trace switch) unread.
+    struct Case
+    {
+        const char *ini;
+        const char *error;
+    };
+    for (const Case &c :
+         {Case{"[nvram]\nmdoe = memory\n", "unknown key 'mdoe'"},
+          Case{"[nvram]\nmode = memory\ndcache_capcity = 16M\n",
+               "unknown key 'dcache_capcity'"},
+          Case{"[nvrma]\nmode = memory\n",
+               "unknown config section '\\[nvrma\\]'"},
+          Case{"[nvram]\n[trace]\nenabel = on\n",
+               "\\[trace\\] unknown key 'enabel'"}}) {
+        SCOPED_TRACE(c.ini);
+        Config raw = Config::fromString(c.ini);
+        EXPECT_DEATH(nvram::NvramConfig::fromConfig(raw), c.error);
+    }
+}
+
+// Values the model divides by, takes a modulo by, or admits against
+// must be rejected by name before any world is built.
+TEST(NvramConfigDeathTest, RejectsOutOfRangeValues)
+{
+    struct Case
+    {
+        const char *ini;
+        const char *key;
+    };
+    for (const Case &c :
+         {Case{"media_partitions = 0", "media_partitions"},
+          Case{"media_chunk_bytes = 0", "media_chunk_bytes"},
+          Case{"ait_line_bytes = 0", "ait_line_bytes"},
+          Case{"ait_line_bytes = 3000", "ait_line_bytes"},
+          Case{"ait_line_bytes = 128", "ait_line_bytes"},
+          Case{"media_chunk_bytes = 3072", "ait_line_bytes"},
+          Case{"ait_buf_entries = 0", "ait_buf_entries"},
+          Case{"rpq_entries = 0", "rpq_entries"},
+          Case{"wpq_entries = 0", "wpq_entries"},
+          Case{"rmw_entries = 0", "rmw_entries"}}) {
+        SCOPED_TRACE(c.ini);
+        Config raw =
+            Config::fromString(std::string("[nvram]\n") + c.ini + "\n");
+        EXPECT_DEATH(nvram::NvramConfig::fromConfig(raw), c.key);
+    }
 }
 
 TEST(NvramConfig, ShippedConfigsUseKnownKeys)

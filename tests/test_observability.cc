@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -538,6 +539,65 @@ TEST(Metrics, SystemRegistersEveryComponentGroup)
     std::string json = reg.toJson();
     EXPECT_TRUE(jsonBalanced(json));
     EXPECT_NE(json.find("read_latency_ns"), std::string::npos);
+}
+
+namespace
+{
+
+/** Every group.kind.stat name a system exports. */
+std::set<std::string>
+metricKeys(MemorySystem &sys)
+{
+    MetricsRegistry reg;
+    sys.metricsInto(reg);
+    std::set<std::string> keys;
+    for (const StatGroup *g : reg.all()) {
+        for (const auto &kv : g->allScalars())
+            keys.insert(g->name() + ".scalars." + kv.first);
+        for (const auto &kv : g->allAverages())
+            keys.insert(g->name() + ".averages." + kv.first);
+        for (const auto &kv : g->allDistributions())
+            keys.insert(g->name() + ".distributions." + kv.first);
+    }
+    return keys;
+}
+
+} // namespace
+
+// Components register their stats when they are built, so an export
+// names the same keys whichever paths a run has exercised.
+TEST(Metrics, KeySetIndependentOfPath)
+{
+    for (bool memory : {false, true}) {
+        for (bool traced : {false, true}) {
+            nvram::NvramConfig cfg = vans::test::smallConfig();
+            cfg.trace = traced;
+            if (memory) {
+                cfg.mode = nvram::SystemMode::Memory;
+                cfg.dcacheCapacity = 4096;
+            }
+            vans::test::VansFixture f(cfg);
+            std::set<std::string> before = metricKeys(f.sys);
+            Rng rng(31);
+            for (int n = 0; n < 300; ++n) {
+                Addr a = rng.below(4u << 20) & ~static_cast<Addr>(63);
+                switch (rng.below(3)) {
+                  case 0:
+                    f.drv.read(a);
+                    break;
+                  case 1:
+                    f.drv.write(a);
+                    break;
+                  default:
+                    f.drv.fence();
+                }
+            }
+            f.drv.fence();
+            EXPECT_EQ(metricKeys(f.sys), before)
+                << (memory ? "Memory" : "App Direct")
+                << (traced ? ", traced" : ", untraced");
+        }
+    }
 }
 
 // ---- Snapshot / restore ---------------------------------------------

@@ -31,6 +31,12 @@ Declaration-aware rules (v2):
                  implementation: requests live in the slab-backed
                  RequestPool and are addressed by generation-checked
                  RequestHandle values.
+  statlookup     no by-name stat lookup (`.scalar(`, `.average(`,
+                 `.distribution(`) outside construction -- constructors
+                 and in-class member initializers -- and the export
+                 functions statsInto/metricsInto/checkStatsInto. The
+                 event path holds the StatScalar&/StatAverage& handle
+                 registered at construction.
   annotation     malformed simlint annotations (a suppression without
                  a written reason is itself a finding).
 """
@@ -654,6 +660,61 @@ def rule_reqptr(project):
 
 
 # --------------------------------------------------------------- #
+# statlookup                                                       #
+# --------------------------------------------------------------- #
+
+STAT_LOOKUP_RE = re.compile(
+    r"(?:\.|->)\s*(scalar|average|distribution)\s*\(")
+STAT_EXPORT_METHODS = ("statsInto", "metricsInto", "checkStatsInto")
+
+
+def _innermost_function(sf, lineno):
+    """The narrowest function definition spanning ``lineno``."""
+    best = None
+    for meth in [m for r in sf.records.values() for m in r.methods] \
+            + sf.free_methods:
+        if meth.body_lines is None or \
+                not meth.line <= lineno <= meth.end_line:
+            continue
+        if best is None or \
+                meth.end_line - meth.line < best.end_line - best.line:
+            best = meth
+    return best
+
+
+def rule_statlookup(project):
+    out = []
+    for sf in project.files:
+        ai = project.annots[sf.rel]
+        for lineno, code in enumerate(sf.code_lines, 1):
+            m = STAT_LOOKUP_RE.search(code)
+            if not m or ai.allowed("statlookup", lineno):
+                continue
+            meth = _innermost_function(sf, lineno)
+            if meth is None:
+                # A member initializer runs as part of construction.
+                if any(r.line <= lineno <= r.end_line
+                       for r in sf.records.values()):
+                    continue
+                where = "namespace scope"
+            else:
+                cls = meth.owner.split("::")[-1] if meth.owner else ""
+                if meth.name == cls or \
+                        meth.name in STAT_EXPORT_METHODS:
+                    continue
+                where = (meth.owner + "::" if meth.owner else "") + \
+                    meth.name
+            out.append(Finding(
+                "statlookup", sf.rel, lineno,
+                f"by-name stat lookup '{m.group(1)}(' in {where}: "
+                "a string key and a map walk on every call. Register "
+                "the stat at construction and hold the returned "
+                "reference (lookups belong only in constructors and "
+                "statsInto/metricsInto/checkStatsInto)"))
+    return out
+
+
+# --------------------------------------------------------------- #
 # annotation hygiene                                               #
 # --------------------------------------------------------------- #
 
@@ -697,6 +758,9 @@ ALL_RULES = {
     "reqptr": (rule_reqptr,
                "Requests are addressed by pooled RequestHandle, "
                "never owned via shared_ptr outside the pool"),
+    "statlookup": (rule_statlookup,
+                   "Stats are looked up by name only at construction "
+                   "and export; the event path holds handles"),
     "annotation": (rule_annotation,
                    "simlint suppressions carry a written reason"),
 }
